@@ -10,24 +10,8 @@ from .image_io import (
     write_pgm,
 )
 from .metrics import DistortionReport, mse, plane_report, psnr
-from .number_systems import (
-    DigitVector,
-    SchemeKind,
-    WeightScheme,
-    WeightTable,
-    build_weight_table,
-    compose,
-    decompose,
-    zeckendorf_valid,
-)
-from .plane_codec import (
-    BitplaneMap,
-    build_map,
-    embed_digit,
-    embeddable,
-    extract_digit,
-    extract_plane,
-)
+from .number_systems import SchemeKind, WeightScheme, WeightTable, build_weight_table
+from .plane_codec import BitplaneMap, build_map, extract_plane, plane_luts
 from .stego_engine import (
     CapacityError,
     EmbedReport,
@@ -47,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BitplaneMap",
     "CapacityError",
-    "DigitVector",
     "DistortionReport",
     "EmbedReport",
     "GrayImage",
@@ -63,22 +46,17 @@ __all__ = [
     "build_map",
     "build_weight_table",
     "capacity",
-    "compose",
-    "decompose",
     "embed",
-    "embed_digit",
-    "embeddable",
     "extract",
-    "extract_digit",
     "extract_plane",
     "frame",
     "mse",
     "pixel_order",
+    "plane_luts",
     "plane_report",
     "psnr",
     "read_pgm",
     "table_for",
     "unframe",
     "write_pgm",
-    "zeckendorf_valid",
 ]

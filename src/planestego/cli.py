@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .image_io import GrayImage, PgmError, read_pgm, write_pgm
-from .metrics import SCHEME_ORDER, plane_report
+from .metrics import plane_report
 from .number_systems import SchemeKind, WeightScheme
 from .stego_engine import (
     IMAGE_DEPTH,
@@ -43,7 +43,7 @@ def _scheme_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scheme",
         required=True,
-        choices=[kind.value for kind in SCHEME_ORDER],
+        choices=[kind.value for kind in SchemeKind],
         help="weight scheme for the virtual bit planes",
     )
     parser.add_argument(
@@ -177,7 +177,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     print(f"{'scheme':<10}  {'plane':>5}  {'capacity_bits':>13}  "
           f"{'bits_embedded':>13}  {'psnr_db':>8}")
-    for kind in SCHEME_ORDER:
+    for kind in SchemeKind:
         scheme = WeightScheme(kind)
         for plane in range(table_for(scheme).n):
             params = StegoParams(scheme=scheme, plane=plane, key=key)

@@ -12,13 +12,6 @@ from .number_systems import SchemeKind, WeightScheme, build_weight_table
 
 PEAK = 255
 
-SCHEME_ORDER = (
-    SchemeKind.BINARY,
-    SchemeKind.FIBONACCI,
-    SchemeKind.PRIME,
-    SchemeKind.NATURAL,
-)
-
 
 @dataclass(frozen=True)
 class DistortionReport:
@@ -55,5 +48,5 @@ def plane_report(k: int) -> list[tuple[str, int]]:
     """(scheme name, plane count) for all four schemes at bit depth k."""
     return [
         (kind.value, build_weight_table(WeightScheme(kind), k).n)
-        for kind in SCHEME_ORDER
+        for kind in SchemeKind
     ]

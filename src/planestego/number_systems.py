@@ -9,6 +9,12 @@ weights summing to a value (and passing the gap rule for Fibonacci), the
 canonical choice is the lexicographically greatest digit string read from
 the most significant plane down, which a largest-weight-first greedy pass
 realizes.
+
+Canonical strings exist only as a (2^k, n) uint8 matrix, built for all
+values at once by greedy_digits. Bit depths up to 16 (MAX_BITDEPTH) are
+kept because the matrix handles them with no extra code, and it is built
+only on request: natural weights at k = 16 give 65536 x 362 uint8, about
+24 MB. The image pipeline itself uses k = 8.
 """
 
 from __future__ import annotations
@@ -73,26 +79,6 @@ class WeightTable:
         return (1 << self.k) - 1
 
 
-@dataclass(frozen=True)
-class DigitVector:
-    """One 0/1 digit per plane, index-aligned with a table's weights."""
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(d not in (0, 1) for d in self.digits):
-            raise ValueError("digits must be 0 or 1")
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __getitem__(self, i: int) -> int:
-        return self.digits[i]
-
-    def with_digit(self, i: int, bit: int) -> "DigitVector":
-        return DigitVector(self.digits[:i] + (bit,) + self.digits[i + 1 :])
-
-
 def _first_primes(count: int) -> list[int]:
     """The first `count` primes by trial division (count stays small)."""
     primes: list[int] = []
@@ -131,24 +117,34 @@ def _gap(scheme: WeightScheme) -> int:
     return scheme.p + 1 if scheme.kind is SchemeKind.FIBONACCI else 1
 
 
-def _greedy_covers(weights: tuple[int, ...], limit: int, gap: int) -> bool:
-    """Whether greedy decomposition succeeds for every value in [0, limit].
+def greedy_digits(
+    scheme: WeightScheme, weights: tuple[int, ...], limit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy digit strings of every value in [0, limit], and what is left over.
 
     Runs the greedy pass on all values at once: scanning weights from the
-    top, a value takes a weight whenever it still fits (and, under a gap
-    constraint, the index is far enough below the last taken one).
+    top, a value takes a weight whenever it still fits and the index is at
+    least the scheme's gap below the last taken one. Returns the
+    (limit + 1, n) uint8 digit matrix and the per-value remainder, which is
+    zero exactly where the pass found a representation.
     """
+    gap = _gap(scheme)
+    # column-major, since the pass fills one plane at a time
+    digits = np.zeros((limit + 1, len(weights)), dtype=np.uint8, order="F")
     remaining = np.arange(limit + 1, dtype=np.int64)
-    if gap == 1:
-        for w in reversed(weights):
-            remaining -= w * (remaining >= w)
-    else:
-        allowed = np.full(limit + 1, len(weights) - 1, dtype=np.int64)
-        for i in range(len(weights) - 1, -1, -1):
-            take = (weights[i] <= remaining) & (i <= allowed)
-            remaining = remaining - weights[i] * take
-            allowed = np.where(take, i - gap, allowed)
-    return not remaining.any()
+    allowed = np.full(limit + 1, len(weights) - 1, dtype=np.int64)
+    for i in range(len(weights) - 1, -1, -1):
+        take = (weights[i] <= remaining) & (i <= allowed)
+        remaining -= weights[i] * take
+        allowed[take] = i - gap
+        digits[:, i] = take
+    return digits, remaining
+
+
+def _covers(scheme: WeightScheme, n: int, limit: int) -> bool:
+    """Whether greedy decomposition over n weights succeeds on [0, limit]."""
+    _, leftover = greedy_digits(scheme, generate_weights(scheme, n), limit)
+    return not leftover.any()
 
 
 def _seed_plane_count(scheme: WeightScheme, k: int) -> int:
@@ -187,58 +183,13 @@ def build_weight_table(scheme: WeightScheme, k: int) -> WeightTable:
     if not 1 <= k <= MAX_BITDEPTH:
         raise ValueError(f"bit depth must be in [1, {MAX_BITDEPTH}], got {k}")
     limit = (1 << k) - 1
-    gap = _gap(scheme)
     n = _seed_plane_count(scheme, k)
-    if _greedy_covers(generate_weights(scheme, n), limit, gap):
-        while n > 1 and _greedy_covers(generate_weights(scheme, n - 1), limit, gap):
+    if _covers(scheme, n, limit):
+        while n > 1 and _covers(scheme, n - 1, limit):
             n -= 1
     else:
-        while not _greedy_covers(generate_weights(scheme, n), limit, gap):
+        while not _covers(scheme, n, limit):
             if n > limit:
                 raise ValueError(f"no covering weight table for {scheme} at k={k}")
             n += 1
     return WeightTable(scheme=scheme, k=k, n=n, weights=generate_weights(scheme, n))
-
-
-def decompose(v: int, table: WeightTable) -> DigitVector:
-    """Canonical digit string of v over the table (greedy, largest first)."""
-    if not 0 <= v <= table.max_value:
-        raise ValueError(f"value {v} outside [0, {table.max_value}]")
-    digits = [0] * table.n
-    gap = _gap(table.scheme)
-    remaining = v
-    allowed = table.n - 1
-    for i in range(table.n - 1, -1, -1):
-        if i > allowed:
-            continue
-        if table.weights[i] <= remaining:
-            digits[i] = 1
-            remaining -= table.weights[i]
-            allowed = i - gap
-        if not remaining:
-            break
-    if remaining:
-        # unreachable for tables built by build_weight_table
-        raise ValueError(f"value {v} has no canonical representation")
-    return DigitVector(tuple(digits))
-
-
-def compose(digits: DigitVector, table: WeightTable) -> int:
-    """Weighted sum of the digit string; inverse of decompose."""
-    if len(digits) != table.n:
-        raise ValueError(f"expected {table.n} digits, got {len(digits)}")
-    return sum(w for d, w in zip(digits.digits, table.weights) if d)
-
-
-def zeckendorf_valid(digits: DigitVector, p: int = 1) -> bool:
-    """True when no two set digits sit within index distance p."""
-    if p < 1:
-        raise ValueError(f"order must be >= 1, got {p}")
-    previous = None
-    for i, d in enumerate(digits.digits):
-        if not d:
-            continue
-        if previous is not None and i - previous <= p:
-            return False
-        previous = i
-    return True

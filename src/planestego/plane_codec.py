@@ -1,11 +1,10 @@
 """Canonical value-to-digit-string mapping and virtual bit-plane access.
 
-A BitplaneMap precomputes the canonical digit string of every k-bit value
-and the set of strings that are canonical for some value. A plane digit of
-a pixel may carry hidden data only when both settings of that digit leave
-the string in the canonical set; since the test depends on pixel values
-alone, an extractor recomputes the same skip decisions as the embedder
-without side information.
+A BitplaneMap holds the canonical digit string of every k-bit value as one
+matrix. A plane digit of a pixel may carry hidden data only when both
+settings of that digit are canonical strings; since the test depends on
+pixel values alone, an extractor recomputes the same skip decisions as the
+embedder without side information.
 """
 
 from __future__ import annotations
@@ -15,30 +14,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image_io import GrayImage
-from .number_systems import DigitVector, WeightTable, compose, decompose
+from .number_systems import WeightTable, greedy_digits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitplaneMap:
     """Canonical mapping for one weight table.
 
-    forward[v] is the canonical digit string of v; valid_set holds exactly
-    the canonical strings, as digit tuples.
+    digits[v, i] is digit i of the canonical string of v; the (2^k, n)
+    uint8 matrix is read-only.
     """
 
     table: WeightTable
-    forward: tuple[DigitVector, ...]
-    valid_set: frozenset[tuple[int, ...]]
+    digits: np.ndarray
 
 
 def build_map(table: WeightTable) -> BitplaneMap:
-    """Decompose every value of the table's domain and index the results."""
-    forward = tuple(decompose(v, table) for v in range(table.max_value + 1))
-    return BitplaneMap(
-        table=table,
-        forward=forward,
-        valid_set=frozenset(dv.digits for dv in forward),
-    )
+    """Canonical digit strings of every value of the table's domain."""
+    digits, leftover = greedy_digits(table.scheme, table.weights, table.max_value)
+    if leftover.any():  # unreachable for tables built by build_weight_table
+        raise ValueError(f"weights do not cover [0, {table.max_value}]")
+    digits.flags.writeable = False
+    return BitplaneMap(table=table, digits=digits)
 
 
 def _check_plane(bitmap: BitplaneMap, plane: int) -> None:
@@ -46,54 +43,37 @@ def _check_plane(bitmap: BitplaneMap, plane: int) -> None:
         raise ValueError(f"plane {plane} out of range [0, {bitmap.table.n - 1}]")
 
 
-def _check_value(bitmap: BitplaneMap, v: int) -> None:
-    if not 0 <= v <= bitmap.table.max_value:
-        raise ValueError(f"value {v} outside [0, {bitmap.table.max_value}]")
-
-
 def extract_plane(image: GrayImage, bitmap: BitplaneMap, plane: int) -> np.ndarray:
     """height x width matrix of the plane's digit across all pixels."""
     _check_plane(bitmap, plane)
-    lut = np.fromiter(
-        (dv.digits[plane] for dv in bitmap.forward), np.uint8, len(bitmap.forward)
-    )
     px = np.frombuffer(image.pixels, dtype=np.uint8)
     if px.max(initial=0) > bitmap.table.max_value:
         raise ValueError(f"image exceeds table depth k={bitmap.table.k}")
-    return lut[px].reshape(image.height, image.width)
+    return bitmap.digits[px, plane].reshape(image.height, image.width)
 
 
-def embeddable(v: int, bitmap: BitplaneMap, plane: int) -> bool:
-    """Whether the plane digit of v can carry either bit.
+def plane_luts(
+    bitmap: BitplaneMap, plane: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only per-value arrays for one plane: emb, digit and embed_to.
 
-    Both settings of the digit must be canonical strings, so embedder and
-    extractor agree on which pixels are skipped.
+    A string is canonical exactly when it is the canonical string of its own
+    sum, so the plane digit of v is embeddable (emb[v]) iff its partner
+    v' = v -/+ w (minus when the digit is set) is in range and digits[v'] is
+    digits[v] with that one digit flipped. embed_to[bit, v] is the value
+    holding that bit: v itself or its partner, so it moves by at most w.
+    Non-embeddable values map to themselves.
     """
-    _check_value(bitmap, v)
     _check_plane(bitmap, plane)
-    digits = bitmap.forward[v]
-    return (
-        digits.with_digit(plane, 0).digits in bitmap.valid_set
-        and digits.with_digit(plane, 1).digits in bitmap.valid_set
-    )
-
-
-def embed_digit(v: int, bit: int, bitmap: BitplaneMap, plane: int) -> int:
-    """Value whose canonical string is that of v with the plane digit set to bit.
-
-    The modified string is kept verbatim, so the value moves by at most
-    weights[plane].
-    """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    if not embeddable(v, bitmap, plane):
-        raise ValueError(f"value {v} is not embeddable at plane {plane}")
-    digits = bitmap.forward[v].with_digit(plane, bit)
-    return compose(digits, bitmap.table)
-
-
-def extract_digit(v: int, bitmap: BitplaneMap, plane: int) -> int:
-    """The plane digit of v's canonical string."""
-    _check_value(bitmap, v)
-    _check_plane(bitmap, plane)
-    return bitmap.forward[v].digits[plane]
+    digits = bitmap.digits
+    values = np.arange(digits.shape[0])
+    digit = digits[:, plane]
+    partner = values + np.where(digit, -1, 1) * bitmap.table.weights[plane]
+    partner = np.where((partner >= 0) & (partner < values.size), partner, values)
+    flips = digits[partner] != digits
+    emb = flips[:, plane] & (np.count_nonzero(flips, axis=1) == 1)
+    embed_to = np.where(emb & (digit != np.arange(2)[:, None]), partner, values)
+    embed_to = embed_to.astype(np.min_scalar_type(bitmap.table.max_value))
+    for arr in (emb, digit, embed_to):
+        arr.flags.writeable = False
+    return emb, digit, embed_to

@@ -25,12 +25,17 @@ import numpy as np
 from . import metrics
 from .image_io import GrayImage
 from .number_systems import WeightScheme, WeightTable, build_weight_table
-from .plane_codec import BitplaneMap, build_map, embed_digit, embeddable, extract_digit
+from .plane_codec import BitplaneMap, build_map, plane_luts
 
 IMAGE_DEPTH = 8
 MAX_PAYLOAD_BYTES = 2**32 - 1
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+# Entries kept by the per-scheme caches. The Fibonacci order is chosen by the
+# caller, so the caches are bounded; 64 still holds all 58 (scheme, plane)
+# pairs of the four schemes at p = 1, which `analyze` sweeps.
+_CACHE_ENTRIES = 64
 
 
 class CapacityError(Exception):
@@ -49,7 +54,7 @@ class TruncationError(Exception):
     """The stego image ran out of embeddable pixels during extraction."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _map_for(scheme: WeightScheme) -> BitplaneMap:
     return build_map(build_weight_table(scheme, IMAGE_DEPTH))
 
@@ -83,25 +88,10 @@ class EmbedReport:
     psnr_db: float
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _plane_luts(scheme: WeightScheme, plane: int):
     """Per-value tables for one (scheme, plane): embeddable, digit, embed."""
-    bitmap = _map_for(scheme)
-    size = bitmap.table.max_value + 1
-    emb = np.zeros(size, dtype=bool)
-    digit = np.zeros(size, dtype=np.uint8)
-    embed_to = np.zeros((2, size), dtype=np.uint8)
-    for v in range(size):
-        digit[v] = extract_digit(v, bitmap, plane)
-        if embeddable(v, bitmap, plane):
-            emb[v] = True
-            embed_to[0, v] = embed_digit(v, 0, bitmap, plane)
-            embed_to[1, v] = embed_digit(v, 1, bitmap, plane)
-        else:
-            embed_to[0, v] = embed_to[1, v] = v
-    for arr in (emb, digit, embed_to):
-        arr.flags.writeable = False
-    return emb, digit, embed_to
+    return plane_luts(_map_for(scheme), plane)
 
 
 def frame(payload: bytes) -> np.ndarray:
@@ -112,13 +102,17 @@ def frame(payload: bytes) -> np.ndarray:
     return np.unpackbits(np.frombuffer(framed, dtype=np.uint8))
 
 
+def _frame_end(header: np.ndarray) -> int:
+    """Bit length of the whole frame that a 32-bit header declares."""
+    return 32 + 8 * int.from_bytes(np.packbits(header[:32]).tobytes(), "big")
+
+
 def unframe(bits: np.ndarray) -> bytes:
     """Inverse of frame; ignores bits past the declared length."""
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size < 32:
         raise ValueError("bitstream shorter than the 32-bit header")
-    length = int.from_bytes(np.packbits(bits[:32]).tobytes(), "big")
-    end = 32 + 8 * length
+    end = _frame_end(bits)
     if bits.size < end:
         raise ValueError(f"bitstream holds {bits.size} bits, header needs {end}")
     return np.packbits(bits[32:end]).tobytes()
@@ -207,11 +201,10 @@ def extract(stego: GrayImage, params: StegoParams) -> bytes:
             f"image offers {slots.size} embeddable bits, header needs 32"
         )
     header = digit[px[order[slots[:32]]]]
-    length = int.from_bytes(np.packbits(header).tobytes(), "big")
-    end = 32 + 8 * length
+    end = _frame_end(header)
     if slots.size < end:
         raise TruncationError(
-            f"header declares {length} bytes but only "
+            f"header declares {(end - 32) // 8} bytes but only "
             f"{slots.size - 32} payload bits are available"
         )
-    return np.packbits(digit[px[order[slots[32:end]]]]).tobytes()
+    return unframe(np.concatenate((header, digit[px[order[slots[32:end]]]])))

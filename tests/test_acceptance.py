@@ -8,11 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from oracles import count_zeck_subsets, digit_mask, lexmax_masks, lexmax_masks_zeck
+from oracles import canonical_masks, count_zeck_subsets, digit_mask
 from planestego.image_io import GrayImage, read_pgm, write_pgm
 from planestego.metrics import plane_report
-from planestego.number_systems import SchemeKind, WeightScheme, build_weight_table, decompose
-from planestego.plane_codec import build_map, embed_digit, embeddable
+from planestego.number_systems import SchemeKind, WeightScheme, build_weight_table
+from planestego.plane_codec import build_map, plane_luts
 from planestego.stego_engine import (
     StegoParams,
     embed,
@@ -25,6 +25,10 @@ from planestego.stego_engine import (
 PSNR_FLOOR_DB = 48.13  # 10*log10(255^2), worst case for unit-weight planes
 ACCEPTANCE_KEY = b"acceptance-key"
 TRIAL_PAYLOADS = 100
+# the four schemes plus higher Fibonacci orders
+ORACLE_SCHEMES = [WeightScheme(kind) for kind in SchemeKind] + [
+    WeightScheme(SchemeKind.FIBONACCI, p=p) for p in (2, 3, 4)
+]
 
 
 @contextmanager
@@ -68,9 +72,7 @@ def roundtrip_trials():
         table = table_for(scheme)
         bitmap = build_map(table)
         for plane in (0, 1, table.n - 1):
-            emb_vals = np.array(
-                [embeddable(v, bitmap, plane) for v in range(256)], dtype=bool
-            )
+            emb_vals, _, _ = plane_luts(bitmap, plane)
             for key in (None, ACCEPTANCE_KEY):
                 params = StegoParams(scheme=scheme, plane=plane, key=key)
                 order = pixel_order(512, 512, key)
@@ -113,28 +115,23 @@ def test_criterion_1_table4_plane_counts():
 
 
 def test_criterion_2_exhaustive_roundtrip():
-    from planestego.number_systems import compose
-
-    with criterion("2 (compose(decompose(v)) = v for all v, all schemes)"):
+    with criterion("2 (canonical digits @ weights = v for all v, all schemes)"):
         start = time.perf_counter()
         for kind in SchemeKind:
-            table = build_weight_table(WeightScheme(kind), 8)
-            assert all(compose(decompose(v, table), table) == v for v in range(256))
+            bitmap = build_map(build_weight_table(WeightScheme(kind), 8))
+            sums = bitmap.digits @ np.array(bitmap.table.weights)
+            assert sums.tolist() == list(range(256))
         assert time.perf_counter() - start < 1.0
 
 
 def test_criterion_3_canonicality_oracle():
-    with criterion("3 (greedy = brute-force lexicographic max, all schemes)"):
+    with criterion("3 (greedy = brute-force lexicographic max, all schemes, p <= 4)"):
         start = time.perf_counter()
-        for kind in SchemeKind:
-            scheme = WeightScheme(kind)
-            table = build_weight_table(scheme, 8)
-            if kind is SchemeKind.FIBONACCI:
-                best = lexmax_masks_zeck(table.weights, 255, scheme.p)
-            else:
-                best = lexmax_masks(table.weights, 255)
+        for scheme in ORACLE_SCHEMES:
+            bitmap = build_map(build_weight_table(scheme, 8))
+            best = canonical_masks(bitmap.table)
             for v in range(256):
-                assert digit_mask(decompose(v, table)) == best[v], (kind, v)
+                assert digit_mask(bitmap.digits[v]) == best[v], (scheme, v)
         assert time.perf_counter() - start < 60.0
 
 
@@ -165,16 +162,13 @@ def test_criterion_6_distortion_bound(roundtrip_trials):
 
 
 def test_criterion_7_embeddability_symmetry():
-    with criterion("7 (embedding preserves embeddability, exhaustive)"):
+    with criterion("7 (embedding preserves embeddability, exhaustive, p <= 4)"):
         start = time.perf_counter()
-        for kind in SchemeKind:
-            bitmap = build_map(build_weight_table(WeightScheme(kind), 8))
+        for scheme in ORACLE_SCHEMES:
+            bitmap = build_map(build_weight_table(scheme, 8))
             for plane in range(bitmap.table.n):
-                for v in range(256):
-                    if not embeddable(v, bitmap, plane):
-                        continue
-                    for bit in (0, 1):
-                        assert embeddable(embed_digit(v, bit, bitmap, plane), bitmap, plane)
+                emb, _, embed_to = plane_luts(bitmap, plane)
+                assert emb[embed_to[:, emb]].all(), (scheme, plane)
         assert time.perf_counter() - start < 1.0
 
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from planestego.cli import run
-from planestego.image_io import GrayImage, write_pgm
+from planestego.image_io import GrayImage, read_pgm, write_pgm
+from planestego.number_systems import SchemeKind, WeightScheme
+from planestego.stego_engine import StegoParams, capacity, embed
 
 
 @pytest.fixture
@@ -54,6 +56,25 @@ def test_keyed_roundtrip(tmp_path, cover_path, payload_path):
     common = ["--scheme", "prime", "--plane", "1", "--key", "hunter2"]
     assert run(["embed", *common, "--in", str(cover_path),
                 "--payload", str(payload_path), "--out", str(stego)]) == 0
+    assert run(["extract", *common, "--in", str(stego), "--out", str(back)]) == 0
+    assert back.read_bytes() == payload_path.read_bytes()
+
+
+@pytest.mark.parametrize("p, plane", [(2, 0), (2, 13), (3, 1), (3, 9)])
+def test_fibonacci_order_roundtrip(tmp_path, cover_path, payload_path, capsys, p, plane):
+    stego = tmp_path / "stego.pgm"
+    back = tmp_path / "back.bin"
+    common = ["--scheme", "fibonacci", "--p", str(p), "--plane", str(plane),
+              "--key", "hunter2"]
+    # the library with the same order is the reference for what --p selects
+    params = StegoParams(WeightScheme(SchemeKind.FIBONACCI, p=p), plane, b"hunter2")
+    cover = read_pgm(cover_path.read_bytes())
+    assert run(["capacity", *common, "--in", str(cover_path)]) == 0
+    assert capsys.readouterr().out.strip() == f"capacity_bits={capacity(cover, params)}"
+    assert run(["embed", *common, "--in", str(cover_path),
+                "--payload", str(payload_path), "--out", str(stego)]) == 0
+    expected, _ = embed(cover, payload_path.read_bytes(), params)
+    assert stego.read_bytes() == write_pgm(expected)
     assert run(["extract", *common, "--in", str(stego), "--out", str(back)]) == 0
     assert back.read_bytes() == payload_path.read_bytes()
 

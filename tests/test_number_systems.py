@@ -1,19 +1,17 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import digit_mask, lexmax_masks, lexmax_masks_zeck, min_covering_planes
+from oracles import canonical_masks, digit_mask, gap_ok, min_covering_planes
 from planestego.number_systems import (
-    DigitVector,
     SchemeKind,
     WeightScheme,
-    WeightTable,
     build_weight_table,
-    compose,
-    decompose,
     generate_weights,
-    zeckendorf_valid,
+    greedy_digits,
 )
+from planestego.plane_codec import build_map
 
 BINARY = WeightScheme(SchemeKind.BINARY)
 FIBONACCI = WeightScheme(SchemeKind.FIBONACCI)
@@ -22,8 +20,20 @@ NATURAL = WeightScheme(SchemeKind.NATURAL)
 ALL_SCHEMES = [BINARY, FIBONACCI, PRIME, NATURAL]
 
 
-def weights_of(dv: DigitVector, table: WeightTable) -> set[int]:
-    return {w for d, w in zip(dv.digits, table.weights) if d}
+def digits_of(scheme, k=8):
+    """The table and its canonical digit matrix."""
+    bitmap = build_map(build_weight_table(scheme, k))
+    return bitmap.table, bitmap.digits
+
+
+def weights_of(v: int, scheme) -> set[int]:
+    table, digits = digits_of(scheme)
+    return {w for d, w in zip(digits[v], table.weights) if d}
+
+
+def is_canonical(digits, string) -> bool:
+    """Whether the digit string is a row of the canonical matrix."""
+    return bool((digits == np.asarray(string, dtype=np.uint8)).all(axis=1).any())
 
 
 class TestWeightTables:
@@ -90,110 +100,95 @@ class TestWeightScheme:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_fibonacci_higher_order_roundtrip(self, p):
-        scheme = WeightScheme(SchemeKind.FIBONACCI, p=p)
-        t = build_weight_table(scheme, 8)
-        for v in range(256):
-            dv = decompose(v, t)
-            assert zeckendorf_valid(dv, p)
-            assert compose(dv, t) == v
+        t, digits = digits_of(WeightScheme(SchemeKind.FIBONACCI, p=p))
+        assert all(gap_ok(digit_mask(row), p) for row in digits)
+        assert (digits @ np.array(t.weights) == np.arange(256)).all()
 
 
 class TestDecompose:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind.value)
     def test_zero_is_all_zero(self, scheme):
-        t = build_weight_table(scheme, 8)
-        assert decompose(0, t).digits == (0,) * t.n
+        _, digits = digits_of(scheme)
+        assert not digits[0].any()
 
     def test_natural_255(self):
-        t = build_weight_table(NATURAL, 8)
-        assert weights_of(decompose(255, t), t) == set(range(7, 24))
+        assert weights_of(255, NATURAL) == set(range(7, 24))
 
     def test_fibonacci_100(self):
-        t = build_weight_table(FIBONACCI, 8)
-        assert weights_of(decompose(100, t), t) == {89, 8, 3}
+        assert weights_of(100, FIBONACCI) == {89, 8, 3}
 
     def test_prime_255(self):
-        t = build_weight_table(PRIME, 8)
-        assert weights_of(decompose(255, t), t) == {43, 41, 37, 31, 29, 23, 19, 17, 13, 2}
-
-    @pytest.mark.parametrize("v", [-1, 256, 1000])
-    def test_out_of_range(self, v):
-        t = build_weight_table(BINARY, 8)
-        with pytest.raises(ValueError):
-            decompose(v, t)
+        assert weights_of(255, PRIME) == {43, 41, 37, 31, 29, 23, 19, 17, 13, 2}
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind.value)
     def test_roundtrip_exhaustive_k8(self, scheme):
-        t = build_weight_table(scheme, 8)
-        assert all(compose(decompose(v, t), t) == v for v in range(256))
+        t, digits = digits_of(scheme)
+        assert digits.shape == (256, t.n)
+        assert (digits @ np.array(t.weights) == np.arange(256)).all()
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind.value)
     def test_matches_lexicographic_oracle_k6(self, scheme):
-        t = build_weight_table(scheme, 6)
-        if scheme.kind is SchemeKind.FIBONACCI:
-            best = lexmax_masks_zeck(t.weights, 63, scheme.p)
-        else:
-            best = lexmax_masks(t.weights, 63)
-        for v in range(64):
-            assert digit_mask(decompose(v, t)) == best[v]
+        t, digits = digits_of(scheme, k=6)
+        assert [digit_mask(row) for row in digits] == list(canonical_masks(t))
 
     def test_fibonacci_decompositions_are_gap_valid(self):
-        t = build_weight_table(FIBONACCI, 8)
-        assert all(zeckendorf_valid(decompose(v, t), 1) for v in range(256))
+        _, digits = digits_of(FIBONACCI)
+        assert all(gap_ok(digit_mask(row), 1) for row in digits)
+
+    def test_greedy_leftover_marks_uncovered_values(self):
+        # the first 3 natural weights reach 6 at most
+        _, leftover = greedy_digits(NATURAL, (1, 2, 3), 8)
+        assert leftover.tolist() == [0] * 7 + [1, 2]
 
 
 class TestCompose:
     def test_all_zero(self):
-        t = build_weight_table(PRIME, 8)
-        assert compose(DigitVector((0,) * t.n), t) == 0
+        t, digits = digits_of(PRIME)
+        assert digits[0] @ np.array(t.weights) == 0
 
     def test_single_unit_weight(self):
-        t = build_weight_table(NATURAL, 8)
-        assert compose(DigitVector((1,) + (0,) * (t.n - 1)), t) == 1
+        _, digits = digits_of(NATURAL)
+        assert digits[1].tolist() == [1] + [0] * 22
 
     def test_fibonacci_100_inverse(self):
-        t = build_weight_table(FIBONACCI, 8)
-        digits = tuple(int(w in {3, 8, 89}) for w in t.weights)
-        assert compose(DigitVector(digits), t) == 100
-
-    def test_length_mismatch(self):
-        t = build_weight_table(BINARY, 8)
-        with pytest.raises(ValueError):
-            compose(DigitVector((0, 1)), t)
+        t, digits = digits_of(FIBONACCI)
+        assert digits[100].tolist() == [int(w in {3, 8, 89}) for w in t.weights]
 
     @given(k=st.integers(1, 8), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_random(self, k, data):
         kind = data.draw(st.sampled_from(list(SchemeKind)))
         p = data.draw(st.integers(1, 3)) if kind is SchemeKind.FIBONACCI else 1
-        t = build_weight_table(WeightScheme(kind, p=p), k)
+        t, digits = digits_of(WeightScheme(kind, p=p), k)
         v = data.draw(st.integers(0, t.max_value))
-        assert compose(decompose(v, t), t) == v
+        assert digits[v] @ np.array(t.weights) == v
 
 
 class TestZeckendorfValid:
+    """Gap rule, read off the canonical Fibonacci strings at k = 8."""
+
     def test_all_zero(self):
-        assert zeckendorf_valid(DigitVector((0,) * 12), 1)
+        _, digits = digits_of(FIBONACCI)
+        assert is_canonical(digits, [0] * 12)
 
     def test_spread_indices(self):
-        digits = [0] * 12
+        _, digits = digits_of(FIBONACCI)
+        string = [0] * 12
         for i in (2, 4, 9):  # the weights 3, 8, 89
-            digits[i] = 1
-        assert zeckendorf_valid(DigitVector(tuple(digits)), 1)
+            string[i] = 1
+        assert is_canonical(digits, string)
 
     def test_adjacent_indices_rejected(self):
-        digits = [0] * 12
-        digits[1] = digits[2] = 1  # the weights 2 and 3
-        assert not zeckendorf_valid(DigitVector(tuple(digits)), 1)
+        _, digits = digits_of(FIBONACCI)
+        string = [0] * 12
+        string[1] = string[2] = 1  # the weights 2 and 3
+        assert not is_canonical(digits, string)
 
     def test_distance_respects_order(self):
-        digits = (1, 0, 1, 0, 0, 0)
-        assert zeckendorf_valid(DigitVector(digits), 1)
-        assert not zeckendorf_valid(DigitVector(digits), 2)
-
-    def test_bad_order(self):
-        with pytest.raises(ValueError):
-            zeckendorf_valid(DigitVector((0, 1)), 0)
+        _, p1 = digits_of(FIBONACCI)
+        _, p2 = digits_of(WeightScheme(SchemeKind.FIBONACCI, p=2))
+        assert is_canonical(p1, [1, 0, 1] + [0] * 9)
+        assert not is_canonical(p2, [1, 0, 1] + [0] * 11)
 
 
 class TestZeckendorfUniqueness:

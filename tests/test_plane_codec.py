@@ -3,22 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import canonical_masks, digit_mask, gap_ok, plane_oracle
 from planestego.image_io import GrayImage
-from planestego.number_systems import (
-    SchemeKind,
-    WeightScheme,
-    build_weight_table,
-    zeckendorf_valid,
-)
-from planestego.plane_codec import (
-    build_map,
-    embed_digit,
-    embeddable,
-    extract_digit,
-    extract_plane,
-)
+from planestego.number_systems import SchemeKind, WeightScheme, build_weight_table
+from planestego.plane_codec import build_map, extract_plane, plane_luts
 
 ALL_KINDS = list(SchemeKind)
+# the four schemes plus higher Fibonacci orders
+ORACLE_SCHEMES = [WeightScheme(kind) for kind in ALL_KINDS] + [
+    WeightScheme(SchemeKind.FIBONACCI, p=p) for p in (2, 3, 4)
+]
 
 
 def map_for(kind, k=8):
@@ -30,25 +24,33 @@ def maps():
     return {kind: map_for(kind) for kind in ALL_KINDS}
 
 
+def luts(maps, kind, plane):
+    return plane_luts(maps[kind], plane)
+
+
 class TestBuildMap:
     def test_binary_valid_set_is_every_string(self, maps):
         m = maps[SchemeKind.BINARY]
-        assert m.valid_set == set(itertools.product((0, 1), repeat=8))
+        assert {tuple(row) for row in m.digits.tolist()} == set(
+            itertools.product((0, 1), repeat=8)
+        )
 
     def test_one_canonical_string_per_value(self, maps):
         for m in maps.values():
-            assert len(m.forward) == 256
-            assert len(m.valid_set) == 256
+            assert m.digits.shape == (256, m.table.n)
+            assert len(np.unique(m.digits, axis=0)) == 256
 
     def test_forward_composes_back(self, maps):
-        from planestego.number_systems import compose
-
         for m in maps.values():
-            assert all(compose(m.forward[v], m.table) == v for v in range(256))
+            assert (m.digits @ np.array(m.table.weights) == np.arange(256)).all()
 
     def test_fibonacci_strings_gap_valid(self, maps):
         m = maps[SchemeKind.FIBONACCI]
-        assert all(zeckendorf_valid(dv, 1) for dv in m.forward)
+        assert all(gap_ok(digit_mask(row), 1) for row in m.digits)
+
+    def test_digits_read_only(self, maps):
+        with pytest.raises(ValueError):
+            maps[SchemeKind.PRIME].digits[0, 0] = 1
 
 
 class TestExtractPlane:
@@ -71,8 +73,9 @@ class TestExtractPlane:
         plane = 3
         got = extract_plane(img, m, plane)
         assert got.shape == (4, 6)
+        best = canonical_masks(m.table)
         for i, v in enumerate(px):
-            assert got[i // 6, i % 6] == extract_digit(int(v), m, plane)
+            assert got[i // 6, i % 6] == best[v] >> plane & 1
 
     def test_plane_out_of_range(self, maps):
         img = GrayImage(1, 1, bytes(1))
@@ -82,50 +85,41 @@ class TestExtractPlane:
 
 class TestEmbeddable:
     def test_binary_always(self, maps):
-        m = maps[SchemeKind.BINARY]
-        assert all(
-            embeddable(v, m, plane) for v in range(256) for plane in range(8)
-        )
+        assert all(luts(maps, SchemeKind.BINARY, plane)[0].all() for plane in range(8))
 
     def test_natural_zero_plane0(self, maps):
-        assert embeddable(0, maps[SchemeKind.NATURAL], 0)
+        assert luts(maps, SchemeKind.NATURAL, 0)[0][0]
 
     def test_natural_255_top_plane(self, maps):
-        assert not embeddable(255, maps[SchemeKind.NATURAL], 22)
-
-    def test_value_out_of_range(self, maps):
-        with pytest.raises(ValueError):
-            embeddable(256, maps[SchemeKind.NATURAL], 0)
+        assert not luts(maps, SchemeKind.NATURAL, 22)[0][255]
 
 
 class TestEmbedDigit:
     def test_classic_lsb_set(self, maps):
-        m = maps[SchemeKind.BINARY]
-        assert embed_digit(170, 1, m, 0) == 171
-        assert embed_digit(170, 0, m, 0) == 170
+        _, _, embed_to = luts(maps, SchemeKind.BINARY, 0)
+        assert embed_to[1, 170] == 171
+        assert embed_to[0, 170] == 170
 
     def test_natural_zero_to_one(self, maps):
-        assert embed_digit(0, 1, maps[SchemeKind.NATURAL], 0) == 1
+        assert luts(maps, SchemeKind.NATURAL, 0)[2][1, 0] == 1
 
     def test_rejects_non_embeddable(self, maps):
-        with pytest.raises(ValueError):
-            embed_digit(255, 0, maps[SchemeKind.NATURAL], 22)
-
-    def test_rejects_bad_bit(self, maps):
-        with pytest.raises(ValueError):
-            embed_digit(0, 2, maps[SchemeKind.BINARY], 0)
+        # a value that cannot carry a bit is never moved
+        emb, _, embed_to = luts(maps, SchemeKind.NATURAL, 22)
+        assert not emb[255]
+        assert embed_to[:, 255].tolist() == [255, 255]
 
 
 class TestExtractDigit:
     def test_zero_everywhere(self, maps):
-        for m in maps.values():
-            assert all(extract_digit(0, m, pl) == 0 for pl in range(m.table.n))
+        for kind, m in maps.items():
+            assert all(luts(maps, kind, pl)[1][0] == 0 for pl in range(m.table.n))
 
     def test_binary_lsb(self, maps):
-        assert extract_digit(171, maps[SchemeKind.BINARY], 0) == 1
+        assert luts(maps, SchemeKind.BINARY, 0)[1][171] == 1
 
     def test_natural_255_top_plane(self, maps):
-        assert extract_digit(255, maps[SchemeKind.NATURAL], 22) == 1
+        assert luts(maps, SchemeKind.NATURAL, 22)[1][255] == 1
 
 
 class TestPlaneContract:
@@ -134,14 +128,21 @@ class TestPlaneContract:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_consistency_stability_symmetry_bound(self, maps, kind):
         m = maps[kind]
-        weights = m.table.weights
+        values = np.arange(256)
         for plane in range(m.table.n):
-            for v in range(256):
-                if not embeddable(v, m, plane):
-                    continue
-                assert embed_digit(v, extract_digit(v, m, plane), m, plane) == v
-                for bit in (0, 1):
-                    u = embed_digit(v, bit, m, plane)
-                    assert extract_digit(u, m, plane) == bit
-                    assert abs(u - v) <= weights[plane]
-                    assert embeddable(u, m, plane)
+            emb, digit, embed_to = plane_luts(m, plane)
+            assert (embed_to[digit[emb], values[emb]] == values[emb]).all()
+            for bit in (0, 1):
+                u = embed_to[bit, emb]
+                assert (digit[u] == bit).all()
+                assert (np.abs(u.astype(int) - values[emb]) <= m.table.weights[plane]).all()
+                assert emb[u].all()
+            assert (embed_to[:, ~emb] == values[~emb]).all()
+
+    @pytest.mark.parametrize("scheme", ORACLE_SCHEMES, ids=lambda s: f"{s.kind.value}-p{s.p}")
+    def test_matches_bruteforce_oracle(self, scheme):
+        bitmap = build_map(build_weight_table(scheme, 8))
+        for plane in range(bitmap.table.n):
+            expected = plane_oracle(bitmap.table, plane)
+            for got, want in zip(plane_luts(bitmap, plane), expected):
+                assert got.tolist() == want.tolist(), (scheme, plane)

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from planestego.image_io import GrayImage
 from planestego.metrics import psnr
+from oracles import plane_oracle
+from planestego import stego_engine
 from planestego.number_systems import SchemeKind, WeightScheme
-from planestego.plane_codec import build_map, embeddable
 from planestego.stego_engine import (
     CapacityError,
     StegoParams,
@@ -35,10 +36,7 @@ def params_for(kind, plane=0, key=None, p=1):
 
 def carrier_pixels(cover, params, bit_count):
     """First bit_count embeddable pixel indices, recomputed from scratch."""
-    bitmap = build_map(table_for(params.scheme))
-    emb = np.array(
-        [embeddable(v, bitmap, params.plane) for v in range(256)], dtype=bool
-    )
+    emb, _, _ = plane_oracle(table_for(params.scheme), params.plane)
     order = pixel_order(cover.width, cover.height, params.key)
     px = np.frombuffer(cover.pixels, dtype=np.uint8)
     slots = np.flatnonzero(emb[px[order]])
@@ -117,6 +115,16 @@ class TestCapacity:
             assert capacity(cover, params_for(kind, plane=1)) == capacity(
                 cover, params_for(kind, plane=1, key=b"s")
             )
+
+
+class TestCaches:
+    def test_bounded_under_many_fibonacci_orders(self):
+        bound = stego_engine._CACHE_ENTRIES
+        img = GrayImage(1, 1, bytes(1))
+        for p in range(1, 2 * bound + 2):
+            capacity(img, params_for(SchemeKind.FIBONACCI, p=p))
+            for cache in (stego_engine._map_for, stego_engine._plane_luts):
+                assert cache.cache_info().currsize <= bound
 
 
 class TestStegoParams:
