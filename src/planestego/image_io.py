@@ -66,7 +66,10 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
     if not token.isdigit():
         raise PgmFormatError(f"bad {what}: {token!r}")
-    return int(token), pos
+    try:
+        return int(token), pos
+    except ValueError:  # more digits than int() converts
+        raise PgmFormatError(f"bad {what}: {len(token)}-digit number") from None
 
 
 def read_pgm(data: bytes) -> GrayImage:

@@ -1,7 +1,8 @@
 """Brute-force reference implementations the tests check the library against.
 
 Everything here enumerates subsets instead of running the library's greedy
-path, so agreement is meaningful. A subset of weights is written as an int
+path, or runs the keyed shuffle one step at a time in Python integers, so
+agreement is meaningful. A subset of weights is written as an int
 mask whose bit i selects weights[i]; comparing masks numerically is the
 same as comparing digit strings lexicographically from the most significant
 plane down.
@@ -10,6 +11,7 @@ plane down.
 from __future__ import annotations
 
 import functools
+import hashlib
 
 import numpy as np
 
@@ -135,3 +137,26 @@ def min_covering_planes(scheme, k: int) -> int:
         if all(v in reach for v in range(limit + 1)):
             return n
         n += 1
+
+
+def splitmix64_reference(seed: int, count: int) -> list[int]:
+    """First `count` SplitMix64 outputs, in Python integers."""
+    mask = (1 << 64) - 1
+    out = []
+    for step in range(1, count + 1):
+        z = (seed + step * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def fisher_yates_reference(n: int, key: bytes) -> list[int]:
+    """The keyed pixel order, by the sequential descending Fisher-Yates."""
+    seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+    draws = splitmix64_reference(seed, n - 1)
+    perm = list(range(n))
+    for t, i in enumerate(range(n - 1, 0, -1)):
+        j = draws[t] % (i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from planestego.image_io import (
     GrayImage,
+    PgmError,
     PgmFormatError,
     TruncatedPgmError,
     UnsupportedDepthError,
@@ -67,6 +68,66 @@ class TestReadPgm:
     def test_trailing_bytes_ignored(self):
         img = read_pgm(b"P5\n1 1\n255\n\x07extra")
         assert img.pixels == b"\x07"
+
+    def test_overlong_number(self):
+        with pytest.raises(PgmFormatError):
+            read_pgm(b"P5 " + b"9" * 5000 + b" 1 255 \x00")
+
+
+def read_or_pgm_error(data: bytes) -> None:
+    """read_pgm either decodes a consistent image or raises a PgmError."""
+    try:
+        img = read_pgm(data)
+    except PgmError:
+        return
+    assert len(img.pixels) == img.width * img.height
+
+
+SEPARATORS = st.sampled_from([b"", b" ", b"\n", b"\t\r\n", b"#c\n", b" # c", b"\x00"])
+FIELDS = st.one_of(
+    st.integers(0, 300).map(lambda v: b"%d" % v),
+    st.sampled_from([b"P5", b"P2", b"-1", b"2.5", b"1e3", b"\xd9\xa1", b"9" * 4400]),
+)
+
+
+class TestReadPgmFuzz:
+    @given(st.binary(max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, data):
+        read_or_pgm_error(data)
+
+    @given(
+        magic=st.sampled_from([b"P5", b"P6", b"p5", b""]),
+        fields=st.lists(st.tuples(SEPARATORS, FIELDS), max_size=4),
+        tail=SEPARATORS,
+        raster=st.binary(max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_header_fields(self, magic, fields, tail, raster):
+        read_or_pgm_error(magic + b"".join(sep + f for sep, f in fields) + tail + raster)
+
+    @given(
+        img=images(max_side=6),
+        edits=st.lists(
+            st.tuples(st.sampled_from(["set", "insert", "delete", "cut"]),
+                      st.integers(0, 40), st.binary(min_size=1, max_size=3)),
+            min_size=1, max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_header(self, img, edits):
+        data = bytearray(write_pgm(img))
+        for op, pos, chunk in edits:
+            pos = min(pos, len(data))
+            if op == "set":
+                data[pos : pos + len(chunk)] = chunk
+            elif op == "insert":
+                data[pos:pos] = chunk
+            elif op == "delete":
+                del data[pos : pos + len(chunk)]
+            else:
+                del data[pos:]
+        read_or_pgm_error(bytes(data))
 
 
 class TestWritePgm:

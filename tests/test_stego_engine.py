@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from planestego.image_io import GrayImage
 from planestego.metrics import psnr
-from oracles import plane_oracle
+from oracles import fisher_yates_reference, plane_oracle
 from planestego import stego_engine
 from planestego.number_systems import SchemeKind, WeightScheme
 from planestego.stego_engine import (
@@ -100,6 +100,33 @@ class TestPixelOrder:
             pixel_order(0, 5)
 
 
+ORDER_KEYS = [b"", b"k", bytes(range(256)) * 3]
+
+
+class TestKeyedOrderMatchesReference:
+    @pytest.mark.parametrize("key", ORDER_KEYS, ids=["empty", "short", "long"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 1001, 65536, 100003])
+    def test_sizes(self, n, key):
+        assert pixel_order(n, 1, key).tolist() == fisher_yates_reference(n, key)
+
+    @pytest.mark.parametrize("shape", [(7, 5), (5, 7), (1, 300), (300, 1), (64, 64)])
+    def test_shapes(self, shape):
+        w, h = shape
+        for key in ORDER_KEYS:
+            assert pixel_order(w, h, key).tolist() == fisher_yates_reference(w * h, key)
+
+    @given(w=st.integers(1, 40), h=st.integers(1, 40), key=st.binary(max_size=16))
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, w, h, key):
+        assert pixel_order(w, h, key).tolist() == fisher_yates_reference(w * h, key)
+
+    def test_order_is_int64_and_read_only(self):
+        order = pixel_order(9, 9, b"k")
+        assert order.dtype == np.int64
+        with pytest.raises(ValueError):
+            order[0] = 1
+
+
 class TestCapacity:
     def test_binary_everything_embeddable(self):
         cover = random_cover(20, 10)
@@ -118,6 +145,44 @@ class TestCapacity:
 
 
 class TestCaches:
+    def test_order_budget_holds_both_2048_orders(self):
+        assert stego_engine._ORDER_CACHE_BYTES >= 2 * 2048 * 2048 * 8
+
+    def test_order_cache_bounded_by_bytes(self, monkeypatch):
+        monkeypatch.setattr(stego_engine, "_orders", type(stego_engine._orders)())
+        budget = 10 * 32 * 32 * 8 + 100
+        monkeypatch.setattr(stego_engine, "_ORDER_CACHE_BYTES", budget)
+        kept = []
+        for k in range(50):
+            kept.append(pixel_order(32, 32, b"key %d" % k))
+            cached = stego_engine._orders.values()
+            assert sum(o.nbytes for o in cached) <= budget
+        assert len(stego_engine._orders) == 10
+        assert pixel_order(32, 32, b"key 49") is kept[-1]
+        assert pixel_order(32, 32, b"key 0") is not kept[0]
+
+    def test_order_cache_keeps_recently_used(self, monkeypatch):
+        monkeypatch.setattr(stego_engine, "_orders", type(stego_engine._orders)())
+        monkeypatch.setattr(stego_engine, "_ORDER_CACHE_BYTES", 2 * 16 * 8)
+        a = pixel_order(4, 4, b"a")
+        pixel_order(4, 4, b"b")
+        assert pixel_order(4, 4, b"a") is a
+        pixel_order(4, 4, b"c")
+        assert pixel_order(4, 4, b"a") is a
+
+    def test_oversized_order_not_cached(self, monkeypatch):
+        monkeypatch.setattr(stego_engine, "_orders", type(stego_engine._orders)())
+        monkeypatch.setattr(stego_engine, "_ORDER_CACHE_BYTES", 8 * 8)
+        small = pixel_order(2, 4, b"k")
+        assert pixel_order(3, 3).tolist() == list(range(9))
+        assert [o is small for o in stego_engine._orders.values()] == [True]
+
+    def test_order_cache_bounded_in_entries(self, monkeypatch):
+        monkeypatch.setattr(stego_engine, "_orders", type(stego_engine._orders)())
+        for k in range(2 * stego_engine._CACHE_ENTRIES):
+            pixel_order(1, 1, b"%d" % k)
+        assert len(stego_engine._orders) == stego_engine._CACHE_ENTRIES
+
     def test_bounded_under_many_fibonacci_orders(self):
         bound = stego_engine._CACHE_ENTRIES
         img = GrayImage(1, 1, bytes(1))
@@ -151,6 +216,25 @@ class TestEmbedExtract:
             stego, report = embed(cover, payload, params)
             assert extract(stego, params) == payload
             assert report.bits_embedded == 32 + 8 * len(payload)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("key", [None, b"higher order"], ids=["nokey", "keyed"])
+    def test_fibonacci_higher_order_roundtrip(self, p, key):
+        cover = random_cover(64, 64, seed=5)
+        cover_px = np.frombuffer(cover.pixels, dtype=np.uint8).astype(np.int16)
+        table = table_for(WeightScheme(SchemeKind.FIBONACCI, p=p))
+        for plane in (0, 1, table.n - 1):
+            params = params_for(SchemeKind.FIBONACCI, plane=plane, key=key, p=p)
+            full = capacity(cover, params) // 8 - 4
+            for size in (0, 1, full):
+                payload = np.random.default_rng([p, plane, size]).bytes(size)
+                stego, report = embed(cover, payload, params)
+                assert extract(stego, params) == payload
+                carriers = carrier_pixels(cover, params, report.bits_embedded)
+                stego_px = np.frombuffer(stego.pixels, dtype=np.uint8).astype(np.int16)
+                changed = np.flatnonzero(stego_px != cover_px)
+                assert np.isin(changed, carriers).all()
+                assert np.abs(stego_px - cover_px).max() <= table.weights[plane]
 
     def test_single_character_roundtrip(self):
         cover = random_cover(32, 32, seed=65)
