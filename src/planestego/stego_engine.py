@@ -184,6 +184,7 @@ def _keyed_order(count: int, key: bytes) -> np.ndarray:
         a[up] = ptr
         nxt = a[ptr]
 
+    # Step i keeps s[i], or A of the next step of its group.
     cont = np.flatnonzero(same)
     del same
     moved = target.astype(np.int64)

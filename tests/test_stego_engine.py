@@ -144,25 +144,30 @@ class TestCapacity:
             )
 
 
+@pytest.fixture
+def orders(monkeypatch):
+    """A fresh, empty order cache for one test."""
+    fresh = type(stego_engine._orders)()
+    monkeypatch.setattr(stego_engine, "_orders", fresh)
+    return fresh
+
+
 class TestCaches:
     def test_order_budget_holds_both_2048_orders(self):
         assert stego_engine._ORDER_CACHE_BYTES >= 2 * 2048 * 2048 * 8
 
-    def test_order_cache_bounded_by_bytes(self, monkeypatch):
-        monkeypatch.setattr(stego_engine, "_orders", type(stego_engine._orders)())
+    def test_order_cache_bounded_by_bytes(self, orders, monkeypatch):
         budget = 10 * 32 * 32 * 8 + 100
         monkeypatch.setattr(stego_engine, "_ORDER_CACHE_BYTES", budget)
         kept = []
         for k in range(50):
             kept.append(pixel_order(32, 32, b"key %d" % k))
-            cached = stego_engine._orders.values()
-            assert sum(o.nbytes for o in cached) <= budget
-        assert len(stego_engine._orders) == 10
+            assert sum(o.nbytes for o in orders.values()) <= budget
+        assert len(orders) == 10
         assert pixel_order(32, 32, b"key 49") is kept[-1]
         assert pixel_order(32, 32, b"key 0") is not kept[0]
 
-    def test_order_cache_keeps_recently_used(self, monkeypatch):
-        monkeypatch.setattr(stego_engine, "_orders", type(stego_engine._orders)())
+    def test_order_cache_keeps_recently_used(self, orders, monkeypatch):
         monkeypatch.setattr(stego_engine, "_ORDER_CACHE_BYTES", 2 * 16 * 8)
         a = pixel_order(4, 4, b"a")
         pixel_order(4, 4, b"b")
@@ -170,18 +175,16 @@ class TestCaches:
         pixel_order(4, 4, b"c")
         assert pixel_order(4, 4, b"a") is a
 
-    def test_oversized_order_not_cached(self, monkeypatch):
-        monkeypatch.setattr(stego_engine, "_orders", type(stego_engine._orders)())
+    def test_oversized_order_not_cached(self, orders, monkeypatch):
         monkeypatch.setattr(stego_engine, "_ORDER_CACHE_BYTES", 8 * 8)
         small = pixel_order(2, 4, b"k")
         assert pixel_order(3, 3).tolist() == list(range(9))
-        assert [o is small for o in stego_engine._orders.values()] == [True]
+        assert [o is small for o in orders.values()] == [True]
 
-    def test_order_cache_bounded_in_entries(self, monkeypatch):
-        monkeypatch.setattr(stego_engine, "_orders", type(stego_engine._orders)())
+    def test_order_cache_bounded_in_entries(self, orders):
         for k in range(2 * stego_engine._CACHE_ENTRIES):
             pixel_order(1, 1, b"%d" % k)
-        assert len(stego_engine._orders) == stego_engine._CACHE_ENTRIES
+        assert len(orders) == stego_engine._CACHE_ENTRIES
 
     def test_bounded_under_many_fibonacci_orders(self):
         bound = stego_engine._CACHE_ENTRIES
