@@ -28,20 +28,36 @@ def _check_shapes(a: GrayImage, b: GrayImage) -> None:
         )
 
 
-def mse(a: GrayImage, b: GrayImage) -> float:
-    """Mean squared per-pixel difference."""
-    _check_shapes(a, b)
-    pa = np.frombuffer(a.pixels, dtype=np.uint8).astype(np.int32)
-    pb = np.frombuffer(b.pixels, dtype=np.uint8).astype(np.int32)
-    return float(np.mean((pa - pb) ** 2))
+def squared_error(a: np.ndarray, b: np.ndarray) -> int:
+    """Exact sum of squared differences of two equal-size uint8 arrays."""
+    d = a.astype(np.int64)
+    d -= b
+    return int(np.dot(d, d))
+
+
+def distortion(sse: int, pixels: int) -> DistortionReport:
+    """MSE and PSNR from a sum of squared errors over `pixels` pixels.
+
+    The one PSNR formula: `psnr` and `embed` both report through it. The
+    sum is an exact integer, so the MSE is its correctly rounded quotient.
+    """
+    err = sse / pixels
+    if err == 0.0:
+        return DistortionReport(mse=0.0, psnr_db=math.inf)
+    return DistortionReport(mse=err, psnr_db=10.0 * math.log10(PEAK * PEAK / err))
 
 
 def psnr(a: GrayImage, b: GrayImage) -> DistortionReport:
     """Peak signal-to-noise ratio against a 255 peak."""
-    err = mse(a, b)
-    if err == 0.0:
-        return DistortionReport(mse=0.0, psnr_db=math.inf)
-    return DistortionReport(mse=err, psnr_db=10.0 * math.log10(PEAK * PEAK / err))
+    _check_shapes(a, b)
+    pa = np.frombuffer(a.pixels, dtype=np.uint8)
+    pb = np.frombuffer(b.pixels, dtype=np.uint8)
+    return distortion(squared_error(pa, pb), pa.size)
+
+
+def mse(a: GrayImage, b: GrayImage) -> float:
+    """Mean squared per-pixel difference."""
+    return psnr(a, b).mse
 
 
 def plane_report(k: int) -> list[tuple[str, int]]:

@@ -6,6 +6,11 @@ key-derived permutation when a stego-key is supplied; each visited pixel
 carries one bit if its chosen plane digit is embeddable, and is skipped
 otherwise. Skipped pixels and pixels after the final payload bit stay
 byte-identical to the cover, so extraction only needs the same parameters.
+Both sides scan the traversal in doubling rounds and stop at the last frame
+bit, so once the order is built, embedding and extraction cost grows with
+the payload, not the image: `extract` scans for the 32 header slots, then
+for the frame the header declares, and `embed` derives its PSNR from the
+carriers alone.
 
 The keyed traversal is fixed exactly, since both sides must reproduce it:
 seed = first 8 bytes of SHA-256(key) read big-endian, a SplitMix64 stream
@@ -124,9 +129,8 @@ def unframe(bits: np.ndarray) -> bytes:
     return np.packbits(bits[32:end]).tobytes()
 
 
-def _splitmix64(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of the SplitMix64 stream, vectorized."""
-    z = np.arange(1, count + 1, dtype=np.uint64)
+def _splitmix64(seed: int, z: np.ndarray) -> np.ndarray:
+    """SplitMix64 outputs at the uint64 stream indices `z`, in place."""
     z *= np.uint64(_SPLITMIX_GAMMA)
     z += np.uint64(seed)
     z ^= z >> np.uint64(30)
@@ -135,6 +139,11 @@ def _splitmix64(seed: int, count: int) -> np.ndarray:
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     return z
+
+
+# Steps whose swap draws are made at once: 512 KiB of uint64 per array,
+# so the draw stage stays in cache and never holds a full-size temporary.
+_DRAW_BLOCK = 1 << 16
 
 
 def _keyed_order(count: int, key: bytes) -> np.ndarray:
@@ -153,17 +162,21 @@ def _keyed_order(count: int, key: bytes) -> np.ndarray:
     idx = np.int32 if count < 2**31 else np.int64
     bits = max(1, (count - 1).bit_length())
     seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
-    # keys[i] = s[i] << bits | i, with step 0 a no-op swap of position 0
-    keys = np.zeros(count, dtype=np.uint64)
-    if count > 1:
-        draws = _splitmix64(seed, count - 1)
-        draws %= np.arange(count, 1, -1, dtype=np.uint64)
-        keys[1:] = draws[::-1]
-        del draws
-    keys <<= np.uint64(bits)
-    keys |= np.arange(count, dtype=np.uint64)
+    # keys[i] = s[i] << bits | i, with step 0 a no-op swap of position 0.
+    # Step i draws the (count - i)-th SplitMix64 output, modulo i + 1.
+    keys = np.empty(count, dtype=np.uint64)
+    keys[0] = 0
+    for lo in range(1, count, _DRAW_BLOCK):
+        hi = min(count, lo + _DRAW_BLOCK)
+        z = _splitmix64(seed, np.arange(count - lo, count - hi, -1, dtype=np.uint64))
+        z %= np.arange(lo + 1, hi + 1, dtype=np.uint64)
+        z <<= np.uint64(bits)
+        z |= np.arange(lo, hi, dtype=np.uint64)
+        keys[lo:hi] = z
     keys.sort()
-    target = (keys >> np.uint64(bits)).astype(idx)
+    target = np.right_shift(
+        keys, np.uint64(bits), out=np.empty(count, dtype=idx), casting="unsafe"
+    )
     keys &= np.uint64((1 << bits) - 1)
     step = keys.astype(idx)
     del keys
@@ -184,15 +197,12 @@ def _keyed_order(count: int, key: bytes) -> np.ndarray:
         a[up] = ptr
         nxt = a[ptr]
 
-    # Step i keeps s[i], or A of the next step of its group.
-    cont = np.flatnonzero(same)
-    del same
-    moved = target.astype(np.int64)
-    del target
-    moved[cont] = a[step[cont + 1]]
-    del a, cont
+    # Step i keeps s[i], or A of the next step of its group; both fit in
+    # target, and no int64 index array is built.
+    target[:-1][same] = a[step[1:][same]]
+    del a, same
     order = np.empty(count, dtype=np.int64)
-    order[step] = moved
+    order[step] = target
     return order
 
 
@@ -246,46 +256,85 @@ def capacity(image: GrayImage, params: StegoParams) -> int:
     return int(np.count_nonzero(emb[px]))
 
 
+# Traversal positions the first scan round reads; each later round reads
+# twice as many as the one before. A run stops at the last slot it needs.
+_FIRST_SCAN = 1 << 16
+
+
+def _carriers(
+    px: np.ndarray, emb: np.ndarray, order: np.ndarray | None, need: int
+) -> tuple[np.ndarray, int]:
+    """The first `need` embeddable pixels in traversal order, or all of them.
+
+    Returns their pixel indices and the traversal position just past the
+    last one. `order` is None for the row-major traversal, which needs no
+    gather. Scans in doubling rounds from max(2 * need, _FIRST_SCAN)
+    positions, so a short frame reads a prefix, not the whole image.
+    """
+    found: list[np.ndarray] = []
+    have = lo = 0
+    step = max(2 * need, _FIRST_SCAN)
+    while have < need and lo < px.size:
+        hi = min(px.size, lo + step)
+        chunk = px[lo:hi] if order is None else px[order[lo:hi]]
+        slots = np.flatnonzero(emb[chunk])[: need - have]
+        slots += lo
+        found.append(slots)
+        have += slots.size
+        lo, step = hi, 2 * step
+    positions = found[0] if len(found) == 1 else np.concatenate(found)
+    end = int(positions[-1]) + 1 if positions.size else 0
+    return (positions if order is None else order[positions]), end
+
+
+def _traversal(image: GrayImage, params: StegoParams):
+    """The image's pixels and its keyed order, or None when unkeyed."""
+    px = np.frombuffer(image.pixels, dtype=np.uint8)
+    if params.key is None:
+        return px, None
+    return px, pixel_order(image.width, image.height, params.key)
+
+
 def embed(
     cover: GrayImage, payload: bytes, params: StegoParams
 ) -> tuple[GrayImage, EmbedReport]:
     """Write the framed payload into the cover, one bit per embeddable pixel."""
     bits = frame(payload)
     emb, _, embed_to = _plane_luts(params.scheme, params.plane)
-    order = pixel_order(cover.width, cover.height, params.key)
-    px = np.frombuffer(cover.pixels, dtype=np.uint8)
-    slots = np.flatnonzero(emb[px[order]])
-    if slots.size < bits.size:
-        raise CapacityError(required_bits=bits.size, available_bits=slots.size)
-    carriers = order[slots[: bits.size]]
+    px, order = _traversal(cover, params)
+    carriers, visited = _carriers(px, emb, order, bits.size)
+    if carriers.size < bits.size:
+        # the scan ran to the end, so it found every embeddable pixel
+        raise CapacityError(required_bits=bits.size, available_bits=carriers.size)
+    before = px[carriers]
+    after = embed_to[bits, before]
     stego_px = px.copy()
-    stego_px[carriers] = embed_to[bits, stego_px[carriers]]
-    stego = GrayImage(cover.width, cover.height, stego_px.tobytes())
-    visited = int(slots[bits.size - 1]) + 1
+    stego_px[carriers] = after
+    # carriers are distinct and no other pixel changes
+    sse = metrics.squared_error(after, before)
     report = EmbedReport(
         bits_embedded=int(bits.size),
         pixels_visited=visited,
         pixels_skipped=visited - int(bits.size),
-        psnr_db=metrics.psnr(cover, stego).psnr_db,
+        psnr_db=metrics.distortion(sse, px.size).psnr_db,
     )
-    return stego, report
+    return GrayImage(cover.width, cover.height, stego_px.tobytes()), report
 
 
 def extract(stego: GrayImage, params: StegoParams) -> bytes:
     """Recover the payload embedded with the same params (key included)."""
     emb, digit, _ = _plane_luts(params.scheme, params.plane)
-    order = pixel_order(stego.width, stego.height, params.key)
-    px = np.frombuffer(stego.pixels, dtype=np.uint8)
-    slots = np.flatnonzero(emb[px[order]])
-    if slots.size < 32:
+    px, order = _traversal(stego, params)
+    carriers, _ = _carriers(px, emb, order, 32)
+    if carriers.size < 32:
         raise TruncationError(
-            f"image offers {slots.size} embeddable bits, header needs 32"
+            f"image offers {carriers.size} embeddable bits, header needs 32"
         )
-    header = digit[px[order[slots[:32]]]]
-    end = _frame_end(header)
-    if slots.size < end:
+    end = _frame_end(digit[px[carriers]])
+    carriers, _ = _carriers(px, emb, order, end)
+    if carriers.size < end:
         raise TruncationError(
             f"header declares {(end - 32) // 8} bytes but only "
-            f"{slots.size - 32} payload bits are available"
+            f"{carriers.size - 32} payload bits are available"
         )
-    return unframe(np.concatenate((header, digit[px[order[slots[32:end]]]])))
+    return unframe(digit[px[carriers]])

@@ -1,7 +1,8 @@
 """Brute-force reference implementations the tests check the library against.
 
 Everything here enumerates subsets instead of running the library's greedy
-path, or runs the keyed shuffle one step at a time in Python integers, so
+path, runs the keyed shuffle one step at a time in Python integers, or
+scans every pixel where the library stops at the last frame bit, so
 agreement is meaningful. A subset of weights is written as an int
 mask whose bit i selects weights[i]; comparing masks numerically is the
 same as comparing digit strings lexicographically from the most significant
@@ -160,3 +161,59 @@ def fisher_yates_reference(n: int, key: bytes) -> list[int]:
         j = draws[t] % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     return perm
+
+
+def embed_reference(cover, payload: bytes, params):
+    """embed by a full scan: gather every pixel in traversal order.
+
+    The library stops scanning at the last frame bit and derives PSNR from
+    the carriers; this visits the whole image and measures PSNR on the
+    whole image, so the two agree only if the prefix scan is exact.
+    """
+    from planestego import metrics, stego_engine as se
+
+    bits = se.frame(payload)
+    emb, _, embed_to = se._plane_luts(params.scheme, params.plane)
+    order = np.arange(cover.width * cover.height)
+    if params.key is not None:
+        order = se.pixel_order(cover.width, cover.height, params.key)
+    px = np.frombuffer(cover.pixels, dtype=np.uint8)
+    slots = np.flatnonzero(emb[px[order]])
+    if slots.size < bits.size:
+        raise se.CapacityError(required_bits=bits.size, available_bits=slots.size)
+    carriers = order[slots[: bits.size]]
+    stego_px = px.copy()
+    stego_px[carriers] = embed_to[bits, stego_px[carriers]]
+    stego = se.GrayImage(cover.width, cover.height, stego_px.tobytes())
+    visited = int(slots[bits.size - 1]) + 1
+    report = se.EmbedReport(
+        bits_embedded=int(bits.size),
+        pixels_visited=visited,
+        pixels_skipped=visited - int(bits.size),
+        psnr_db=metrics.psnr(cover, stego).psnr_db,
+    )
+    return stego, report
+
+
+def extract_reference(stego, params) -> bytes:
+    """extract by a full scan of every pixel in traversal order."""
+    from planestego import stego_engine as se
+
+    emb, digit, _ = se._plane_luts(params.scheme, params.plane)
+    order = np.arange(stego.width * stego.height)
+    if params.key is not None:
+        order = se.pixel_order(stego.width, stego.height, params.key)
+    px = np.frombuffer(stego.pixels, dtype=np.uint8)
+    slots = np.flatnonzero(emb[px[order]])
+    if slots.size < 32:
+        raise se.TruncationError(
+            f"image offers {slots.size} embeddable bits, header needs 32"
+        )
+    header = digit[px[order[slots[:32]]]]
+    end = 32 + 8 * int.from_bytes(np.packbits(header).tobytes(), "big")
+    if slots.size < end:
+        raise se.TruncationError(
+            f"header declares {(end - 32) // 8} bytes but only "
+            f"{slots.size - 32} payload bits are available"
+        )
+    return np.packbits(digit[px[order[slots[32:end]]]]).tobytes()

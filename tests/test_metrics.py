@@ -5,7 +5,7 @@ import pytest
 
 from oracles import min_covering_planes
 from planestego.image_io import GrayImage
-from planestego.metrics import DistortionReport, mse, plane_report, psnr
+from planestego.metrics import DistortionReport, distortion, mse, plane_report, psnr
 from planestego.number_systems import SchemeKind, WeightScheme
 
 
@@ -65,6 +65,27 @@ class TestPsnr:
         b = flat(2, 1, [0, 1])
         report = psnr(a, b)
         assert report.mse > 0 and math.isfinite(report.psnr_db)
+
+    def test_sum_past_int32(self):
+        # 2048^2 pixels off by 255 sum to 2.7e11 squared units
+        a = GrayImage(2048, 2048, bytes(2048 * 2048))
+        b = GrayImage(2048, 2048, b"\xff" * (2048 * 2048))
+        assert psnr(a, b) == DistortionReport(mse=65025.0, psnr_db=0.0)
+
+
+class TestDistortion:
+    def test_zero_error_is_infinite(self):
+        assert distortion(0, 7) == DistortionReport(mse=0.0, psnr_db=math.inf)
+
+    def test_psnr_reports_through_it(self):
+        rng = np.random.default_rng(17)
+        for size in (1, 3, 1000, 65537):
+            pa = rng.integers(0, 256, size, dtype=np.uint8)
+            pb = rng.integers(0, 256, size, dtype=np.uint8)
+            sse = sum((int(x) - int(y)) ** 2 for x, y in zip(pa, pb))
+            a, b = GrayImage(size, 1, pa.tobytes()), GrayImage(size, 1, pb.tobytes())
+            assert psnr(a, b) == distortion(sse, size)
+            assert mse(a, b) == sse / size
 
 
 class TestPlaneReport:

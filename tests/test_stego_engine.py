@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from planestego.image_io import GrayImage
 from planestego.metrics import psnr
-from oracles import fisher_yates_reference, plane_oracle
+from oracles import (
+    embed_reference,
+    extract_reference,
+    fisher_yates_reference,
+    plane_oracle,
+)
 from planestego import stego_engine
 from planestego.number_systems import SchemeKind, WeightScheme
 from planestego.stego_engine import (
@@ -342,3 +347,98 @@ class TestEmbedExtract:
         params = params_for(kind, plane=0, key=key)
         stego, _ = embed(cover, payload, params)
         assert extract(stego, params) == payload
+
+
+def outcome(fn, *args):
+    """fn's result, or the type, message and bit counts of what it raised."""
+    try:
+        return fn(*args)
+    except (CapacityError, TruncationError) as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+def sparse_cover(params, size, rate, seed):
+    """1 x size cover in which each pixel is embeddable with probability rate."""
+    emb, _, _ = stego_engine._plane_luts(params.scheme, params.plane)
+    rng = np.random.default_rng(seed)
+    carry = rng.random(size) < rate
+    px = np.where(
+        carry,
+        rng.choice(np.flatnonzero(emb), size),
+        rng.choice(np.flatnonzero(~emb), size),
+    )
+    return GrayImage(size, 1, px.astype(np.uint8).tobytes())
+
+
+def chunk_covers(params):
+    """Covers larger than the first scan round, and a sparse one that needs
+    several rounds for a 1 KiB payload (no value is skipped in binary)."""
+    covers = [random_cover(300, 300, seed=71), random_cover(70001, 1, seed=72)]
+    emb, _, _ = stego_engine._plane_luts(params.scheme, params.plane)
+    if not emb.all():
+        covers.append(sparse_cover(params, 500_000, 0.02, seed=73))
+    return covers
+
+
+FULL_SCAN_CASES = [
+    (kind, plane)
+    for kind in ALL_KINDS
+    for plane in sorted({0, 1, table_for(WeightScheme(kind)).n - 1})
+]
+
+
+class TestMatchesFullScan:
+    """The prefix scan against the full-gather reference, bit for bit."""
+
+    @pytest.mark.parametrize("key", [None, b"full scan"], ids=["nokey", "keyed"])
+    @pytest.mark.parametrize(
+        "kind,plane", FULL_SCAN_CASES, ids=lambda c: getattr(c, "value", c)
+    )
+    def test_embed_and_extract(self, kind, plane, key):
+        params = params_for(kind, plane=plane, key=key)
+        for cover in chunk_covers(params):
+            full = max(0, capacity(cover, params) // 8 - 4)
+            assert outcome(extract, cover, params) == outcome(
+                extract_reference, cover, params
+            )
+            for size in (0, 1, min(1024, full), full, full + 1):
+                payload = np.random.default_rng([plane, size]).bytes(size)
+                got = outcome(embed, cover, payload, params)
+                assert got == outcome(embed_reference, cover, payload, params)
+                if isinstance(got[0], GrayImage):
+                    assert extract(got[0], params) == extract_reference(got[0], params)
+                    assert extract(got[0], params) == payload
+
+    @pytest.mark.parametrize("last", [65535, 65536, 196607, 196608, 199999])
+    def test_last_carrier_at_round_boundaries(self, last):
+        # natural plane 0 carries at 0 and skips 255; the 40th slot of a
+        # 1-byte frame sits at `last`, the end or start of a scan round
+        px = np.full(200_000, 255, dtype=np.uint8)
+        px[:39] = 0
+        px[last] = 0
+        cover = GrayImage(px.size, 1, px.tobytes())
+        params = params_for(SchemeKind.NATURAL)
+        stego, report = embed(cover, b"A", params)
+        assert report.pixels_visited == last + 1
+        assert (stego, report) == embed_reference(cover, b"A", params)
+        assert extract(stego, params) == extract_reference(stego, params) == b"A"
+
+    def test_truncation_messages(self):
+        params = params_for(SchemeKind.BINARY)
+        px = np.zeros(100_000, dtype=np.uint8)
+        px[:32] |= np.unpackbits(np.frombuffer((65536).to_bytes(4, "big"), np.uint8))
+        for img in (GrayImage(4, 4, bytes(16)), GrayImage(px.size, 1, px.tobytes())):
+            got = outcome(extract, img, params)
+            assert got[0] is TruncationError
+            assert got == outcome(extract_reference, img, params)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_psnr_is_the_metrics_psnr(self, kind):
+        cover = random_cover(300, 300, seed=79)
+        params = params_for(kind, plane=1, key=b"psnr")
+        stego, report = embed(cover, bytes(range(256)) * 4, params)
+        assert report.psnr_db == psnr(cover, stego).psnr_db
+        # every carrier already holds its bit: nothing changes
+        again, report = embed(stego, bytes(range(256)) * 4, params)
+        assert again == stego
+        assert report.psnr_db == psnr(stego, again).psnr_db == float("inf")
