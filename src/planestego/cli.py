@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .image_io import GrayImage, PgmError, read_pgm, write_pgm
 from .metrics import plane_report
 from .number_systems import SchemeKind, WeightScheme
@@ -20,6 +22,7 @@ from .stego_engine import (
     CapacityError,
     StegoParams,
     TruncationError,
+    _plane_luts,
     capacity,
     embed,
     extract,
@@ -108,17 +111,12 @@ def build_parser() -> _Parser:
 
 
 def _params_from(args: argparse.Namespace) -> StegoParams:
-    if args.p < 1:
-        raise UsageError(f"--p must be >= 1, got {args.p}")
-    scheme = WeightScheme(SchemeKind(args.scheme), p=args.p)
-    n = table_for(scheme).n
-    if not 0 <= args.plane < n:
-        raise UsageError(
-            f"--plane {args.plane} out of range for scheme "
-            f"{args.scheme} (planes 0..{n - 1})"
-        )
     key = args.key.encode("utf-8") if args.key is not None else None
-    return StegoParams(scheme=scheme, plane=args.plane, key=key)
+    try:
+        scheme = WeightScheme(SchemeKind(args.scheme), p=args.p)
+        return StegoParams(scheme=scheme, plane=args.plane, key=key)
+    except ValueError as exc:  # a bad --p or --plane
+        raise UsageError(str(exc)) from None
 
 
 def _read_image(path: str) -> GrayImage:
@@ -175,13 +173,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         payload = random.Random(args.seed).randbytes(DEFAULT_ANALYZE_PAYLOAD_BYTES)
     key = args.key.encode("utf-8") if args.key is not None else None
 
+    # capacity(cover, params) for every plane, from one pass over the pixels
+    hist = np.bincount(np.frombuffer(cover.pixels, dtype=np.uint8), minlength=256)
+
     print(f"{'scheme':<10}  {'plane':>5}  {'capacity_bits':>13}  "
           f"{'bits_embedded':>13}  {'psnr_db':>8}")
     for kind in SchemeKind:
         scheme = WeightScheme(kind)
         for plane in range(table_for(scheme).n):
             params = StegoParams(scheme=scheme, plane=plane, key=key)
-            cap = capacity(cover, params)
+            cap = int(hist[_plane_luts(scheme, plane)[0]].sum())
             if cap >= 32:
                 fit = payload[: (cap - 32) // 8]
                 _, report = embed(cover, fit, params)

@@ -19,7 +19,6 @@ only on request: natural weights at k = 16 give 65536 x 362 uint8, about
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -141,55 +140,26 @@ def greedy_digits(
     return digits, remaining
 
 
-def _covers(scheme: WeightScheme, n: int, limit: int) -> bool:
-    """Whether greedy decomposition over n weights succeeds on [0, limit]."""
-    _, leftover = greedy_digits(scheme, generate_weights(scheme, n), limit)
-    return not leftover.any()
-
-
-def _seed_plane_count(scheme: WeightScheme, k: int) -> int:
-    """Closed-form starting guess for the plane count search."""
-    limit = (1 << k) - 1
-    kind = scheme.kind
-    if kind is SchemeKind.BINARY:
-        return k
-    if kind is SchemeKind.NATURAL:
-        # positive root of the quadratic capacity bound
-        return max(1, math.ceil((-1 + math.sqrt(2 ** (k + 3) + 9)) / 2))
-    if kind is SchemeKind.PRIME:
-        # total weight must reach the largest value
-        n = 1
-        while sum(generate_weights(scheme, n)) < limit:
-            n += 1
-        return n
-    # Fibonacci: the best gap-valid subset of n weights must reach the limit
-    gap = _gap(scheme)
-    n = 1
-    while True:
-        weights = generate_weights(scheme, n)
-        best = sum(weights[i] for i in range(n - 1, -1, -gap))
-        if best >= limit:
-            return n
-        n += 1
-
-
 def build_weight_table(scheme: WeightScheme, k: int) -> WeightTable:
     """Table with the smallest n whose first n weights cover [0, 2^k - 1].
 
-    The closed-form guess seeds the search; an exhaustive coverage check
-    over all 2^k values settles the actual minimum, walking down when the
-    guess overshoots and up when it falls short.
+    No n covers the range while its largest gap-valid subset sum, every
+    gap-th weight from the top down, falls short of 2^k - 1, so the search
+    starts at the first n that reaches it. From there n grows only while
+    the greedy pass leaves some value without a representation. The same
+    rule serves every scheme.
     """
     if not 1 <= k <= MAX_BITDEPTH:
         raise ValueError(f"bit depth must be in [1, {MAX_BITDEPTH}], got {k}")
     limit = (1 << k) - 1
-    n = _seed_plane_count(scheme, k)
-    if _covers(scheme, n, limit):
-        while n > 1 and _covers(scheme, n - 1, limit):
-            n -= 1
-    else:
-        while not _covers(scheme, n, limit):
-            if n > limit:
-                raise ValueError(f"no covering weight table for {scheme} at k={k}")
-            n += 1
-    return WeightTable(scheme=scheme, k=k, n=n, weights=generate_weights(scheme, n))
+    gap = _gap(scheme)
+    n = 1
+    while sum(generate_weights(scheme, n)[::-gap]) < limit:
+        n += 1
+    while True:
+        weights = generate_weights(scheme, n)
+        if not greedy_digits(scheme, weights, limit)[1].any():
+            return WeightTable(scheme=scheme, k=k, n=n, weights=weights)
+        if n > limit:
+            raise ValueError(f"no covering weight table for {scheme} at k={k}")
+        n += 1

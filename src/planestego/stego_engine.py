@@ -18,8 +18,8 @@ from that seed, and a descending Fisher-Yates shuffle whose swap index at
 step i is the next SplitMix64 value reduced modulo i + 1. The shuffle is
 not run step by step: `_keyed_order` derives the same permutation with a
 sort and pointer doubling in numpy (about 0.65 s at 2048^2 on a 2-vCPU
-Xeon VM, against 3.6 s for the sequential loop), and orders are cached
-within a fixed byte budget.
+Xeon VM, against 3.6 s for the sequential loop), and keyed orders are
+cached within a fixed byte budget.
 """
 
 from __future__ import annotations
@@ -206,23 +206,23 @@ def _keyed_order(count: int, key: bytes) -> np.ndarray:
     return order
 
 
-# Bytes the order cache may hold: the keyed and unkeyed orders of a 4096^2
-# image, or of eight 2048^2 images. An order larger than this is not kept,
-# and at most _CACHE_ENTRIES orders are, however small.
+# Bytes the keyed-order cache may hold: the orders of two keys at 4096^2,
+# or of eight at 2048^2. An order larger than this is not kept, and at most
+# _CACHE_ENTRIES orders are, however small.
 _ORDER_CACHE_BYTES = 1 << 28
-_orders: OrderedDict[tuple[int, bytes | None], np.ndarray] = OrderedDict()
+_orders: OrderedDict[tuple[int, bytes], np.ndarray] = OrderedDict()
 _orders_lock = threading.Lock()
 
 
-def _cached_order(count: int, key: bytes | None) -> np.ndarray:
-    """Read-only order for these arguments, from a byte-bounded LRU cache."""
+def _cached_order(count: int, key: bytes) -> np.ndarray:
+    """Read-only keyed order, from a byte-bounded LRU cache."""
     args = (count, key)
     with _orders_lock:
         order = _orders.get(args)
         if order is not None:
             _orders.move_to_end(args)
             return order
-    order = np.arange(count, dtype=np.int64) if key is None else _keyed_order(count, key)
+    order = _keyed_order(count, key)
     order.flags.writeable = False
     if order.nbytes > _ORDER_CACHE_BYTES:
         return order
@@ -239,12 +239,17 @@ def _cached_order(count: int, key: bytes | None) -> np.ndarray:
 def pixel_order(width: int, height: int, key: bytes | None = None) -> np.ndarray:
     """Pixel visiting order: row-major, or a key-seeded permutation.
 
-    Returns a read-only array; calls with the same pixel count and key
-    share one cached copy while it stays in the bounded cache.
+    Returns a read-only array. Keyed calls with the same pixel count and
+    key share one cached copy while it stays in the bounded cache; the
+    row-major order is cheap to make and is not cached.
     """
     if width < 1 or height < 1:
         raise ValueError(f"dimensions must be >= 1, got {width}x{height}")
-    if key is not None and not isinstance(key, bytes):
+    if key is None:
+        order = np.arange(width * height, dtype=np.int64)
+        order.flags.writeable = False
+        return order
+    if not isinstance(key, bytes):
         key = bytes(key)
     return _cached_order(width * height, key)
 

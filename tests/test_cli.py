@@ -154,6 +154,16 @@ def test_analyze_deterministic(cover_path, capsys):
     assert len(rows) == 1 + 8 + 12 + 15 + 23
 
 
+def test_analyze_capacity_matches_library(cover_path, capsys):
+    assert run(["analyze", "--in", str(cover_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 8 + 12 + 15 + 23
+    cover = read_pgm(cover_path.read_bytes())
+    for name, plane, cap, _, _ in rows:
+        params = StegoParams(WeightScheme(SchemeKind(name)), plane=int(plane))
+        assert int(cap) == capacity(cover, params), (name, plane)
+
+
 def test_analyze_seed_changes_payload(cover_path, capsys):
     assert run(["analyze", "--in", str(cover_path), "--seed", "2"]) == 0
     second = capsys.readouterr().out

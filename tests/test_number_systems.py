@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import canonical_masks, digit_mask, gap_ok, min_covering_planes
+from planestego import number_systems
 from planestego.number_systems import (
     SchemeKind,
     WeightScheme,
@@ -18,6 +19,24 @@ FIBONACCI = WeightScheme(SchemeKind.FIBONACCI)
 PRIME = WeightScheme(SchemeKind.PRIME)
 NATURAL = WeightScheme(SchemeKind.NATURAL)
 ALL_SCHEMES = [BINARY, FIBONACCI, PRIME, NATURAL]
+FIBONACCI_P2 = WeightScheme(SchemeKind.FIBONACCI, p=2)
+FIBONACCI_P3 = WeightScheme(SchemeKind.FIBONACCI, p=3)
+
+
+# Plane counts at k = 16, beyond the brute-force oracle's reach, as the
+# search has always given them.
+K16_PLANES = {
+    BINARY: 16,
+    FIBONACCI: 23,
+    FIBONACCI_P2: 29,
+    FIBONACCI_P3: 34,
+    PRIME: 158,
+    NATURAL: 362,
+}
+
+
+def scheme_id(scheme) -> str:
+    return scheme.kind.value if scheme.p == 1 else f"{scheme.kind.value}-p{scheme.p}"
 
 
 def digits_of(scheme, k=8):
@@ -74,14 +93,26 @@ class TestWeightTables:
         with pytest.raises(ValueError):
             build_weight_table(NATURAL, k)
 
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind.value)
+    @pytest.mark.parametrize(
+        "scheme", [*ALL_SCHEMES, FIBONACCI_P2, FIBONACCI_P3], ids=scheme_id
+    )
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_minimal_n_matches_bruteforce(self, scheme, k):
         # representability-based oracle, no greedy involved
         assert build_weight_table(scheme, k).n == min_covering_planes(scheme, k)
 
-    def test_natural_k16_smoke(self):
-        assert build_weight_table(NATURAL, 16).n == 362
+    def test_uncoverable_weights_raise(self, monkeypatch):
+        # 2 has no representation over 1, 3, 4, 5, ...: the search must give
+        # up, not return a table that misses it
+        monkeypatch.setattr(
+            number_systems, "generate_weights", lambda scheme, n: (1, *range(3, n + 2))
+        )
+        with pytest.raises(ValueError, match="no covering"):
+            build_weight_table(NATURAL, 3)
+
+    @pytest.mark.parametrize("scheme", K16_PLANES, ids=scheme_id)
+    def test_k16_plane_count(self, scheme):
+        assert build_weight_table(scheme, 16).n == K16_PLANES[scheme]
 
 
 class TestWeightScheme:

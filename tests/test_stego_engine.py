@@ -186,6 +186,12 @@ class TestCaches:
         assert pixel_order(3, 3).tolist() == list(range(9))
         assert [o is small for o in orders.values()] == [True]
 
+    def test_unkeyed_order_not_cached(self, orders):
+        order = pixel_order(5, 3)
+        assert order.tolist() == list(range(15))
+        assert not order.flags.writeable
+        assert not orders
+
     def test_order_cache_bounded_in_entries(self, orders):
         for k in range(2 * stego_engine._CACHE_ENTRIES):
             pixel_order(1, 1, b"%d" % k)
