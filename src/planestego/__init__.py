@@ -9,9 +9,15 @@ from .image_io import (
     read_pgm,
     write_pgm,
 )
-from .metrics import DistortionReport, mse, plane_report, psnr
-from .number_systems import SchemeKind, WeightScheme, WeightTable, build_weight_table
-from .plane_codec import BitplaneMap, build_map, extract_plane, plane_luts
+from .metrics import DistortionReport, psnr
+from .number_systems import (
+    BitplaneMap,
+    SchemeKind,
+    WeightScheme,
+    WeightTable,
+    build_map,
+    build_weight_table,
+)
 from .stego_engine import (
     CapacityError,
     EmbedReport,
@@ -20,10 +26,9 @@ from .stego_engine import (
     capacity,
     embed,
     extract,
-    frame,
     pixel_order,
+    plane_luts,
     table_for,
-    unframe,
 )
 
 __version__ = "0.1.0"
@@ -48,15 +53,10 @@ __all__ = [
     "capacity",
     "embed",
     "extract",
-    "extract_plane",
-    "frame",
-    "mse",
     "pixel_order",
     "plane_luts",
-    "plane_report",
     "psnr",
     "read_pgm",
     "table_for",
-    "unframe",
     "write_pgm",
 ]

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 I/O or image format error,
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from pathlib import Path
@@ -15,17 +16,15 @@ from typing import Sequence
 import numpy as np
 
 from .image_io import GrayImage, PgmError, read_pgm, write_pgm
-from .metrics import plane_report
 from .number_systems import SchemeKind, WeightScheme
 from .stego_engine import (
-    IMAGE_DEPTH,
     CapacityError,
     StegoParams,
     TruncationError,
-    _plane_luts,
     capacity,
     embed,
     extract,
+    plane_luts,
     table_for,
 )
 
@@ -110,11 +109,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _key_from(args: argparse.Namespace) -> bytes | None:
+    """--key as the bytes the command line held, whatever their encoding."""
+    return None if args.key is None else os.fsencode(args.key)
+
+
 def _params_from(args: argparse.Namespace) -> StegoParams:
-    key = args.key.encode("utf-8") if args.key is not None else None
     try:
         scheme = WeightScheme(SchemeKind(args.scheme), p=args.p)
-        return StegoParams(scheme=scheme, plane=args.plane, key=key)
+        return StegoParams(scheme=scheme, plane=args.plane, key=_key_from(args))
     except ValueError as exc:  # a bad --p or --plane
         raise UsageError(str(exc)) from None
 
@@ -157,7 +160,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def _cmd_planes(args: argparse.Namespace) -> int:
-    rows = plane_report(IMAGE_DEPTH)
+    rows = [(kind.value, table_for(WeightScheme(kind)).n) for kind in SchemeKind]
     width = max(len(name) for name, _ in rows)
     print(f"{'scheme':<{width}}  planes")
     for name, n in rows:
@@ -171,7 +174,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         payload = Path(args.payload_path).read_bytes()
     else:
         payload = random.Random(args.seed).randbytes(DEFAULT_ANALYZE_PAYLOAD_BYTES)
-    key = args.key.encode("utf-8") if args.key is not None else None
+    key = _key_from(args)
 
     # capacity(cover, params) for every plane, from one pass over the pixels
     hist = np.bincount(np.frombuffer(cover.pixels, dtype=np.uint8), minlength=256)
@@ -182,7 +185,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         scheme = WeightScheme(kind)
         for plane in range(table_for(scheme).n):
             params = StegoParams(scheme=scheme, plane=plane, key=key)
-            cap = int(hist[_plane_luts(scheme, plane)[0]].sum())
+            cap = int(hist[plane_luts(scheme, plane)[0]].sum())
             if cap >= 32:
                 fit = payload[: (cap - 32) // 8]
                 _, report = embed(cover, fit, params)

@@ -1,4 +1,4 @@
-"""Cover-versus-stego distortion metrics and plane-count reporting."""
+"""Cover-versus-stego distortion metrics."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image_io import GrayImage
-from .number_systems import SchemeKind, WeightScheme, build_weight_table
 
 PEAK = 255
 
@@ -54,15 +53,3 @@ def psnr(a: GrayImage, b: GrayImage) -> DistortionReport:
     pb = np.frombuffer(b.pixels, dtype=np.uint8)
     return distortion(squared_error(pa, pb), pa.size)
 
-
-def mse(a: GrayImage, b: GrayImage) -> float:
-    """Mean squared per-pixel difference."""
-    return psnr(a, b).mse
-
-
-def plane_report(k: int) -> list[tuple[str, int]]:
-    """(scheme name, plane count) for all four schemes at bit depth k."""
-    return [
-        (kind.value, build_weight_table(WeightScheme(kind), k).n)
-        for kind in SchemeKind
-    ]

@@ -11,10 +11,11 @@ the most significant plane down, which a largest-weight-first greedy pass
 realizes.
 
 Canonical strings exist only as a (2^k, n) uint8 matrix, built for all
-values at once by greedy_digits. Bit depths up to 16 (MAX_BITDEPTH) are
-kept because the matrix handles them with no extra code, and it is built
-only on request: natural weights at k = 16 give 65536 x 362 uint8, about
-24 MB. The image pipeline itself uses k = 8.
+values at once by greedy_digits and held, read-only, by a BitplaneMap
+(build_map). Bit depths up to 16 (MAX_BITDEPTH) are kept because the
+matrix handles them with no extra code, and it is built only on request:
+natural weights at k = 16 give 65536 x 362 uint8, about 24 MB. The image
+pipeline itself uses k = 8.
 """
 
 from __future__ import annotations
@@ -147,15 +148,23 @@ def build_weight_table(scheme: WeightScheme, k: int) -> WeightTable:
     gap-th weight from the top down, falls short of 2^k - 1, so the search
     starts at the first n that reaches it. From there n grows only while
     the greedy pass leaves some value without a representation. The same
-    rule serves every scheme.
+    rule serves every scheme. The start is found over weights generated in
+    doubling batches, with a running sum, so it costs about as much as
+    generating the final n weights.
     """
     if not 1 <= k <= MAX_BITDEPTH:
         raise ValueError(f"bit depth must be in [1, {MAX_BITDEPTH}], got {k}")
     limit = (1 << k) - 1
     gap = _gap(scheme)
-    n = 1
-    while sum(generate_weights(scheme, n)[::-gap]) < limit:
-        n += 1
+    weights = generate_weights(scheme, 1)
+    # reach[i]: the largest gap-valid subset sum of the first i + 1 weights
+    reach: list[int] = []
+    while not reach or reach[-1] < limit:
+        i = len(reach)
+        if i == len(weights):
+            weights = generate_weights(scheme, 2 * i)
+        reach.append(weights[i] + (reach[i - gap] if i >= gap else 0))
+    n = len(reach)
     while True:
         weights = generate_weights(scheme, n)
         if not greedy_digits(scheme, weights, limit)[1].any():
@@ -163,3 +172,24 @@ def build_weight_table(scheme: WeightScheme, k: int) -> WeightTable:
         if n > limit:
             raise ValueError(f"no covering weight table for {scheme} at k={k}")
         n += 1
+
+
+@dataclass(frozen=True, eq=False)
+class BitplaneMap:
+    """Canonical mapping for one weight table.
+
+    digits[v, i] is digit i of the canonical string of v; the (2^k, n)
+    uint8 matrix is read-only.
+    """
+
+    table: WeightTable
+    digits: np.ndarray
+
+
+def build_map(table: WeightTable) -> BitplaneMap:
+    """Canonical digit strings of every value of the table's domain."""
+    digits, leftover = greedy_digits(table.scheme, table.weights, table.max_value)
+    if leftover.any():  # unreachable for tables built by build_weight_table
+        raise ValueError(f"weights do not cover [0, {table.max_value}]")
+    digits.flags.writeable = False
+    return BitplaneMap(table=table, digits=digits)

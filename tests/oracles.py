@@ -173,7 +173,7 @@ def embed_reference(cover, payload: bytes, params):
     from planestego import metrics, stego_engine as se
 
     bits = se.frame(payload)
-    emb, _, embed_to = se._plane_luts(params.scheme, params.plane)
+    emb, _, embed_to = se.plane_luts(params.scheme, params.plane)
     order = np.arange(cover.width * cover.height)
     if params.key is not None:
         order = se.pixel_order(cover.width, cover.height, params.key)
@@ -199,7 +199,7 @@ def extract_reference(stego, params) -> bytes:
     """extract by a full scan of every pixel in traversal order."""
     from planestego import stego_engine as se
 
-    emb, digit, _ = se._plane_luts(params.scheme, params.plane)
+    emb, digit, _ = se.plane_luts(params.scheme, params.plane)
     order = np.arange(stego.width * stego.height)
     if params.key is not None:
         order = se.pixel_order(stego.width, stego.height, params.key)

@@ -10,15 +10,19 @@ import pytest
 
 from oracles import canonical_masks, count_zeck_subsets, digit_mask
 from planestego.image_io import GrayImage, read_pgm, write_pgm
-from planestego.metrics import plane_report
-from planestego.number_systems import SchemeKind, WeightScheme, build_weight_table
-from planestego.plane_codec import build_map, plane_luts
+from planestego.number_systems import (
+    SchemeKind,
+    WeightScheme,
+    build_map,
+    build_weight_table,
+)
 from planestego.stego_engine import (
     StegoParams,
     embed,
     extract,
     frame,
     pixel_order,
+    plane_luts,
     table_for,
 )
 
@@ -70,9 +74,8 @@ def roundtrip_trials():
     for kind in SchemeKind:
         scheme = WeightScheme(kind)
         table = table_for(scheme)
-        bitmap = build_map(table)
         for plane in (0, 1, table.n - 1):
-            emb_vals, _, _ = plane_luts(bitmap, plane)
+            emb_vals, _, _ = plane_luts(scheme, plane)
             for key in (None, ACCEPTANCE_KEY):
                 params = StegoParams(scheme=scheme, plane=plane, key=key)
                 order = pixel_order(512, 512, key)
@@ -105,7 +108,8 @@ def roundtrip_trials():
 def test_criterion_1_table4_plane_counts():
     with criterion("1 (plane counts 8/12/15/23 at k=8)"):
         start = time.perf_counter()
-        assert plane_report(8) == [
+        counts = [(kind.value, table_for(WeightScheme(kind)).n) for kind in SchemeKind]
+        assert counts == [
             ("binary", 8),
             ("fibonacci", 12),
             ("prime", 15),
@@ -165,9 +169,8 @@ def test_criterion_7_embeddability_symmetry():
     with criterion("7 (embedding preserves embeddability, exhaustive, p <= 4)"):
         start = time.perf_counter()
         for scheme in ORACLE_SCHEMES:
-            bitmap = build_map(build_weight_table(scheme, 8))
-            for plane in range(bitmap.table.n):
-                emb, _, embed_to = plane_luts(bitmap, plane)
+            for plane in range(table_for(scheme).n):
+                emb, _, embed_to = plane_luts(scheme, plane)
                 assert emb[embed_to[:, emb]].all(), (scheme, plane)
         assert time.perf_counter() - start < 1.0
 

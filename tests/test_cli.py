@@ -1,7 +1,14 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from planestego.cli import run
+import planestego
+from planestego.cli import DEFAULT_ANALYZE_PAYLOAD_BYTES, DEFAULT_ANALYZE_SEED, run
 from planestego.image_io import GrayImage, read_pgm, write_pgm
 from planestego.number_systems import SchemeKind, WeightScheme
 from planestego.stego_engine import StegoParams, capacity, embed
@@ -77,6 +84,59 @@ def test_fibonacci_order_roundtrip(tmp_path, cover_path, payload_path, capsys, p
     assert stego.read_bytes() == write_pgm(expected)
     assert run(["extract", *common, "--in", str(stego), "--out", str(back)]) == 0
     assert back.read_bytes() == payload_path.read_bytes()
+
+
+def run_process(*argv: bytes) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, with argv passed as raw bytes."""
+    src = str(Path(planestego.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable.encode(), b"-m", b"planestego.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        check=False,
+    )
+
+
+def test_raw_byte_key_roundtrip(tmp_path, cover_path, payload_path):
+    # a key that is not valid UTF-8 reaches the library as the same bytes
+    stego = tmp_path / "stego.pgm"
+    back = tmp_path / "back.bin"
+    common = [b"--scheme", b"prime", b"--plane", b"1", b"--key", b"\xff"]
+    done = run_process(b"embed", *common, b"--in", bytes(cover_path),
+                       b"--payload", bytes(payload_path), b"--out", bytes(stego))
+    assert done.returncode == 0, done.stderr
+    params = StegoParams(WeightScheme(SchemeKind.PRIME), 1, b"\xff")
+    expected, _ = embed(read_pgm(cover_path.read_bytes()), payload_path.read_bytes(), params)
+    assert stego.read_bytes() == write_pgm(expected)
+    done = run_process(b"extract", *common, b"--in", bytes(stego), b"--out", bytes(back))
+    assert done.returncode == 0, done.stderr
+    assert back.read_bytes() == payload_path.read_bytes()
+
+
+def test_raw_byte_key_capacity_and_analyze(cover_path):
+    cover = read_pgm(cover_path.read_bytes())
+    params = StegoParams(WeightScheme(SchemeKind.BINARY), 0, b"\xff")
+    done = run_process(b"capacity", b"--scheme", b"binary", b"--key", b"\xff",
+                       b"--in", bytes(cover_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().strip() == f"capacity_bits={capacity(cover, params)}"
+    done = run_process(b"analyze", b"--key", b"\xff", b"--in", bytes(cover_path))
+    assert done.returncode == 0, done.stderr
+    # the binary plane-0 row embeds the default payload under that key
+    _, plane, cap, bits, db = done.stdout.decode().splitlines()[1].split()
+    payload = random.Random(DEFAULT_ANALYZE_SEED).randbytes(DEFAULT_ANALYZE_PAYLOAD_BYTES)
+    _, report = embed(cover, payload[: (int(cap) - 32) // 8], params)
+    assert (plane, int(bits), db) == ("0", report.bits_embedded, f"{report.psnr_db:.4f}")
+
+
+def test_utf8_key_is_encoded_as_utf8(tmp_path, cover_path, payload_path):
+    stego = tmp_path / "stego.pgm"
+    assert run(["embed", "--scheme", "natural", "--key", "ключ", "--in", str(cover_path),
+                "--payload", str(payload_path), "--out", str(stego)]) == 0
+    params = StegoParams(WeightScheme(SchemeKind.NATURAL), 0, "ключ".encode())
+    expected, _ = embed(read_pgm(cover_path.read_bytes()), payload_path.read_bytes(), params)
+    assert stego.read_bytes() == write_pgm(expected)
 
 
 def test_embed_deterministic(tmp_path, cover_path, payload_path):

@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import min_covering_planes
 from planestego.image_io import GrayImage
-from planestego.metrics import DistortionReport, distortion, mse, plane_report, psnr
-from planestego.number_systems import SchemeKind, WeightScheme
+from planestego.metrics import DistortionReport, distortion, psnr
 
 
 def flat(width, height, values):
@@ -16,25 +14,25 @@ def flat(width, height, values):
 class TestMse:
     def test_identical(self):
         img = flat(2, 2, [9, 9, 9, 9])
-        assert mse(img, img) == 0.0
+        assert psnr(img, img).mse == 0.0
 
     def test_two_pixel_example(self):
-        assert mse(flat(2, 1, [0, 0]), flat(2, 1, [2, 0])) == 2.0
+        assert psnr(flat(2, 1, [0, 0]), flat(2, 1, [2, 0])).mse == 2.0
 
     def test_single_pixel_off_by_one_512(self):
         a = GrayImage(512, 512, bytes(512 * 512))
         b = GrayImage(512, 512, b"\x01" + bytes(512 * 512 - 1))
-        assert mse(a, b) == pytest.approx(1 / 262144)
+        assert psnr(a, b).mse == pytest.approx(1 / 262144)
 
     def test_symmetry(self):
         rng = np.random.default_rng(11)
         a = GrayImage(8, 8, rng.integers(0, 256, 64, dtype=np.uint8).tobytes())
         b = GrayImage(8, 8, rng.integers(0, 256, 64, dtype=np.uint8).tobytes())
-        assert mse(a, b) == mse(b, a)
+        assert psnr(a, b).mse == psnr(b, a).mse
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            mse(flat(2, 1, [0, 0]), flat(1, 2, [0, 0]))
+            psnr(flat(2, 1, [0, 0]), flat(1, 2, [0, 0]))
 
 
 class TestPsnr:
@@ -57,7 +55,7 @@ class TestPsnr:
         base = flat(4, 1, [0, 0, 0, 0])
         one = flat(4, 1, [1, 0, 0, 0])
         two = flat(4, 1, [1, 1, 0, 0])
-        assert mse(base, two) > mse(base, one)
+        assert psnr(base, two).mse > psnr(base, one).mse
         assert psnr(base, two).psnr_db < psnr(base, one).psnr_db
 
     def test_infinite_iff_zero_mse(self):
@@ -85,29 +83,5 @@ class TestDistortion:
             sse = sum((int(x) - int(y)) ** 2 for x, y in zip(pa, pb))
             a, b = GrayImage(size, 1, pa.tobytes()), GrayImage(size, 1, pb.tobytes())
             assert psnr(a, b) == distortion(sse, size)
-            assert mse(a, b) == sse / size
+            assert psnr(a, b).mse == sse / size
 
-
-class TestPlaneReport:
-    def test_k8_counts(self):
-        assert plane_report(8) == [
-            ("binary", 8),
-            ("fibonacci", 12),
-            ("prime", 15),
-            ("natural", 23),
-        ]
-
-    def test_k1(self):
-        report = dict(plane_report(1))
-        assert report["binary"] == 1
-
-    def test_k4_matches_bruteforce(self):
-        expected = [
-            (kind.value, min_covering_planes(WeightScheme(kind), 4))
-            for kind in SchemeKind
-        ]
-        assert plane_report(4) == expected
-
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            plane_report(0)

@@ -8,11 +8,11 @@ from planestego import number_systems
 from planestego.number_systems import (
     SchemeKind,
     WeightScheme,
+    build_map,
     build_weight_table,
     generate_weights,
     greedy_digits,
 )
-from planestego.plane_codec import build_map
 
 BINARY = WeightScheme(SchemeKind.BINARY)
 FIBONACCI = WeightScheme(SchemeKind.FIBONACCI)

@@ -1,0 +1,40 @@
+"""The package's public surface and README's library example."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+
+import planestego
+from planestego import GrayImage, write_pgm
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC_NAMES = {
+    # types
+    "BitplaneMap", "DistortionReport", "EmbedReport", "GrayImage", "SchemeKind",
+    "StegoParams", "WeightScheme", "WeightTable",
+    # exceptions
+    "CapacityError", "PgmError", "PgmFormatError", "TruncatedPgmError",
+    "TruncationError", "UnsupportedDepthError",
+    # functions
+    "build_map", "build_weight_table", "capacity", "embed", "extract",
+    "pixel_order", "plane_luts", "psnr", "read_pgm", "table_for", "write_pgm",
+}
+
+
+def test_exports_are_exactly_the_public_names():
+    assert len(planestego.__all__) == len(PUBLIC_NAMES) == 25
+    assert set(planestego.__all__) == PUBLIC_NAMES
+    for name in planestego.__all__:
+        assert getattr(planestego, name) is not None, name
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    px = np.random.default_rng(3).integers(0, 256, 32 * 32, dtype=np.uint8)
+    (tmp_path / "cover.pgm").write_bytes(write_pgm(GrayImage(32, 32, px.tobytes())))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], str(README), "exec"), {})
+    assert (tmp_path / "stego.pgm").is_file()

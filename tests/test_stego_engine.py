@@ -202,7 +202,7 @@ class TestCaches:
         img = GrayImage(1, 1, bytes(1))
         for p in range(1, 2 * bound + 2):
             capacity(img, params_for(SchemeKind.FIBONACCI, p=p))
-            for cache in (stego_engine._map_for, stego_engine._plane_luts):
+            for cache in (stego_engine._map_for, stego_engine.plane_luts):
                 assert cache.cache_info().currsize <= bound
 
 
@@ -365,7 +365,7 @@ def outcome(fn, *args):
 
 def sparse_cover(params, size, rate, seed):
     """1 x size cover in which each pixel is embeddable with probability rate."""
-    emb, _, _ = stego_engine._plane_luts(params.scheme, params.plane)
+    emb, _, _ = stego_engine.plane_luts(params.scheme, params.plane)
     rng = np.random.default_rng(seed)
     carry = rng.random(size) < rate
     px = np.where(
@@ -380,7 +380,7 @@ def chunk_covers(params):
     """Covers larger than the first scan round, and a sparse one that needs
     several rounds for a 1 KiB payload (no value is skipped in binary)."""
     covers = [random_cover(300, 300, seed=71), random_cover(70001, 1, seed=72)]
-    emb, _, _ = stego_engine._plane_luts(params.scheme, params.plane)
+    emb, _, _ = stego_engine.plane_luts(params.scheme, params.plane)
     if not emb.all():
         covers.append(sparse_cover(params, 500_000, 0.02, seed=73))
     return covers
