@@ -22,14 +22,17 @@ seed = first 8 bytes of SHA-256(key) read big-endian, a SplitMix64 stream
 from that seed, and a descending Fisher-Yates shuffle whose swap index at
 step i is the next SplitMix64 value reduced modulo i + 1. The shuffle is
 not run step by step: `_keyed_order` derives the same permutation with a
-sort and pointer doubling in numpy (about 0.53 s at 2048^2 on a 2-vCPU
-Xeon VM, best of 3, against 3.6 s for the sequential loop), and keyed
-orders are cached within a fixed byte budget.
+sort and pointer doubling in numpy, running its element-wise stages on
+every CPU the process may use. At 2048^2 on a 2-vCPU Xeon VM (best of 3)
+that takes about 0.38 s on both CPUs and 0.50 s on one, against 3.6 s for
+the sequential loop. Keyed orders are cached within a fixed byte budget.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
+import os
 import struct
 import threading
 from collections import OrderedDict
@@ -85,10 +88,14 @@ def table_for(scheme: WeightScheme) -> WeightTable:
     return _map_for(scheme).table
 
 
-def _check_plane(scheme: WeightScheme, plane: int) -> None:
+def _check_plane(scheme: WeightScheme, plane: int) -> int:
+    """The plane as an int; TypeError if it is not an integer, ValueError
+    if it is outside [0, n - 1]."""
+    plane = operator.index(plane)
     n = table_for(scheme).n
     if not 0 <= plane < n:
         raise ValueError(f"plane {plane} out of range [0, {n - 1}]")
+    return plane
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
@@ -97,11 +104,12 @@ def plane_luts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached, read-only per-value arrays for one plane: emb, digit, embed_to.
 
-    They index the scheme's 8-bit table; a plane outside [0, n - 1] raises
-    ValueError. A plane digit of a pixel may carry hidden data only when
-    both settings of that digit are canonical strings; since the test
-    depends on pixel values alone, an extractor recomputes the same skip
-    decisions as the embedder without side information.
+    They index the scheme's 8-bit table; a plane that is not an integer
+    raises TypeError, and one outside [0, n - 1] ValueError. A plane digit
+    of a pixel may carry hidden data only when both settings of that digit
+    are canonical strings; since the test depends on pixel values alone, an
+    extractor recomputes the same skip decisions as the embedder without
+    side information.
 
     A string is canonical exactly when it is the canonical string of its own
     sum, so the plane digit of v is embeddable (emb[v]) iff its partner
@@ -110,7 +118,7 @@ def plane_luts(
     holding that bit: v itself or its partner, so it moves by at most w.
     Non-embeddable values map to themselves.
     """
-    _check_plane(scheme, plane)
+    plane = _check_plane(scheme, plane)
     bitmap = _map_for(scheme)
     digits = bitmap.digits
     values = np.arange(digits.shape[0])
@@ -135,7 +143,7 @@ class StegoParams:
     key: bytes | None = None
 
     def __post_init__(self) -> None:
-        _check_plane(self.scheme, self.plane)
+        object.__setattr__(self, "plane", _check_plane(self.scheme, self.plane))
         if self.key is not None and not isinstance(self.key, bytes):
             object.__setattr__(self, "key", bytes(self.key))
 
@@ -184,13 +192,73 @@ def _splitmix64(seed: int, z: np.ndarray) -> np.ndarray:
     return z
 
 
-# Steps whose swap draws are made at once: 512 KiB of uint64 per array,
-# so the draw stage stays in cache and never holds a full-size temporary.
-_DRAW_BLOCK = 1 << 16
+# Block length of the order's stages and of embed's scatter: 512 KiB of
+# uint64, so a block's temporaries stay in cache and no element-wise stage
+# holds a full-size one.
+_ORDER_BLOCK = 1 << 16
+
+# Orders of fewer steps are built on the calling thread alone: below 1024^2
+# steps, starting a pool (importing concurrent.futures alone takes about
+# 11 ms) costs about what a second thread saves on a 2-vCPU VM.
+_THREADED_MIN = 1 << 20
+
+
+def _order_workers(count: int) -> int:
+    """Threads that build an order of `count` steps: one per CPU the
+    process may run on, at most one per block, and one for a small order."""
+    if count < _THREADED_MIN:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, -(-count // _ORDER_BLOCK))
 
 
 def _keyed_order(count: int, key: bytes) -> np.ndarray:
     """The Fisher-Yates permutation the key seeds, without a per-step loop.
+
+    The element-wise stages run over fixed blocks of steps, on a thread
+    pool that lives for this call when the order is large. The calling
+    thread allocates every full-size array and each block writes only its
+    own part, so the result does not depend on the number of threads.
+    """
+    workers = _order_workers(count)
+    if workers == 1:
+        return _resolve_order(count, key, map)
+    # imported here, so that small orders and `import planestego` skip it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return _resolve_order(count, key, pool.map)
+
+
+def _chain_ends(up: np.ndarray, ptr: np.ndarray, count: int) -> np.ndarray:
+    """End of the pointer chain from each position in [0, count).
+
+    Position up[k] points to ptr[k] >= up[k], with up ascending; any other
+    position, or one that points to itself, is a chain end. Chains are followed a block of up at a time
+    from the top down, so a pointer past the block already holds its end,
+    and pointer doubling resolves the pointers that stay inside it.
+    """
+    a = np.arange(count, dtype=up.dtype)
+    bounds = np.searchsorted(up, np.arange(0, count + _ORDER_BLOCK, _ORDER_BLOCK))
+    for b in range(bounds.size - 2, -1, -1):
+        lo, hi = bounds[b], bounds[b + 1]
+        u, v = up[lo:hi], a[ptr[lo:hi]]
+        a[u] = v
+        inside = v < (b + 1) * _ORDER_BLOCK
+        u, v = u[inside], v[inside]
+        while u.size:
+            w = a[v]
+            moved = w != v
+            u, v = u[moved], w[moved]
+            a[u] = v
+    return a
+
+
+def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
+    """`_keyed_order`, with `mapper(stage, blocks)` running each stage.
 
     Step i (i = count-1 down to 1) swaps positions i and s[i] <= i, and
     position i is final after it. Sorting the steps by (s[i], i) groups
@@ -199,53 +267,82 @@ def _keyed_order(count: int, key: bytes) -> np.ndarray:
     next larger step j of its group moved there, or s[i] if there is none.
     Step j moved A[j], the value at position j just before step j. For j
     not a self-swap, that is A of the smallest step of group j, or j if the
-    group is empty; these pointers only go up, so pointer doubling resolves
-    them. A self-swap's A is never read.
+    group is empty; these pointers only go up, so following them to their
+    chain ends resolves them. A self-swap's A is never read.
     """
+    blocks = range(0, count, _ORDER_BLOCK)
+
+    def each_block(stage) -> None:
+        # reading every result joins the stage and re-raises its errors
+        for _ in mapper(stage, blocks):
+            pass
+
     idx = np.int32 if count < 2**31 else np.int64
-    bits = max(1, (count - 1).bit_length())
+    bits = np.uint64(max(1, (count - 1).bit_length()))
     seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+
     # keys[i] = s[i] << bits | i, with step 0 a no-op swap of position 0.
     # Step i draws the (count - i)-th SplitMix64 output, modulo i + 1.
     keys = np.empty(count, dtype=np.uint64)
     keys[0] = 0
-    for lo in range(1, count, _DRAW_BLOCK):
-        hi = min(count, lo + _DRAW_BLOCK)
+
+    def draw(lo: int) -> None:
+        lo, hi = max(lo, 1), min(count, lo + _ORDER_BLOCK)
         z = _splitmix64(seed, np.arange(count - lo, count - hi, -1, dtype=np.uint64))
         z %= np.arange(lo + 1, hi + 1, dtype=np.uint64)
-        z <<= np.uint64(bits)
+        z <<= bits
         z |= np.arange(lo, hi, dtype=np.uint64)
         keys[lo:hi] = z
+
+    each_block(draw)
     keys.sort()
-    target = np.right_shift(
-        keys, np.uint64(bits), out=np.empty(count, dtype=idx), casting="unsafe"
-    )
-    keys &= np.uint64((1 << bits) - 1)
-    step = keys.astype(idx)
+    target = np.empty(count, dtype=idx)
+    step = np.empty(count, dtype=idx)
+    low_bits = np.uint64((1 << int(bits)) - 1)
+
+    def unpack(lo: int) -> None:
+        part = keys[lo : lo + _ORDER_BLOCK]
+        hi = lo + part.size
+        np.right_shift(part, bits, out=target[lo:hi], casting="unsafe")
+        np.bitwise_and(part, low_bits, out=step[lo:hi], casting="unsafe")
+
+    each_block(unpack)
     del keys
 
+    # same[i]: steps i and i + 1 share a group.
+    same = np.empty(count - 1, dtype=bool)
+
+    def compare(lo: int) -> None:
+        hi = min(count - 1, lo + _ORDER_BLOCK)
+        np.equal(target[lo + 1 : hi + 1], target[lo:hi], out=same[lo:hi])
+
+    each_block(compare)
+
     # Group heads; the first group is headed by step 0, a self-swap.
-    same = target[1:] == target[:-1]
-    heads = np.flatnonzero(~same) + 1
+    heads = np.flatnonzero(~same)
+    heads += 1
     up, ptr = target[heads], step[heads]
     del heads
-    a = np.arange(count, dtype=idx)
-    a[up] = ptr
-    nxt = a[ptr]
-    while True:
-        live = nxt != ptr
-        up, ptr = up[live], nxt[live]
-        if not up.size:
-            break
-        a[up] = ptr
-        nxt = a[ptr]
+    a = _chain_ends(up, ptr, count)
+    del up, ptr
 
     # Step i keeps s[i], or A of the next step of its group; both fit in
     # target, and no int64 index array is built.
-    target[:-1][same] = a[step[1:][same]]
+    def fix_up(lo: int) -> None:
+        hi = min(count - 1, lo + _ORDER_BLOCK)
+        joined = same[lo:hi]
+        target[lo:hi][joined] = a[step[lo + 1 : hi + 1][joined]]
+
+    each_block(fix_up)
     del a, same
     order = np.empty(count, dtype=np.int64)
-    order[step] = target
+
+    # step is a permutation, so the blocks write disjoint positions
+    def scatter(lo: int) -> None:
+        hi = lo + _ORDER_BLOCK
+        order[step[lo:hi]] = target[lo:hi]
+
+    each_block(scatter)
     return order
 
 
@@ -309,30 +406,37 @@ def capacity(image: GrayImage, params: StegoParams) -> int:
 _FIRST_SCAN = 1 << 16
 
 
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _carriers(
     px: np.ndarray, emb: np.ndarray, order: np.ndarray | None, need: int
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """The first `need` embeddable pixels in traversal order, or all of them.
 
-    Returns their pixel indices and the traversal position just past the
-    last one. `order` is None for the row-major traversal, which needs no
-    gather. Scans in doubling rounds from max(2 * need, _FIRST_SCAN)
-    positions, so a short frame reads a prefix, not the whole image.
+    Returns their traversal positions, their values and the position just
+    past the last one. `order` is None for the row-major traversal, which
+    needs no gather. Scans in doubling rounds from max(2 * need,
+    _FIRST_SCAN) positions, so a short frame reads a prefix, not the whole
+    image.
     """
-    found: list[np.ndarray] = []
+    positions: list[np.ndarray] = []
+    values: list[np.ndarray] = []
     have = lo = 0
     step = max(2 * need, _FIRST_SCAN)
     while have < need and lo < px.size:
         hi = min(px.size, lo + step)
         chunk = px[lo:hi] if order is None else px[order[lo:hi]]
         slots = np.flatnonzero(emb[chunk])[: need - have]
+        values.append(chunk[slots])
         slots += lo
-        found.append(slots)
+        positions.append(slots)
         have += slots.size
         lo, step = hi, 2 * step
-    positions = found[0] if len(found) == 1 else np.concatenate(found)
-    end = int(positions[-1]) + 1 if positions.size else 0
-    return (positions if order is None else order[positions]), end
+    found = _joined(positions)
+    end = int(found[-1]) + 1 if found.size else 0
+    return found, _joined(values), end
 
 
 def _traversal(image: GrayImage, params: StegoParams):
@@ -350,14 +454,24 @@ def embed(
     bits = frame(payload)
     emb, _, embed_to = plane_luts(params.scheme, params.plane)
     px, order = _traversal(cover, params)
-    carriers, visited = _carriers(px, emb, order, bits.size)
-    if carriers.size < bits.size:
+    positions, before, visited = _carriers(px, emb, order, bits.size)
+    if before.size < bits.size:
         # the scan ran to the end, so it found every embeddable pixel
-        raise CapacityError(required_bits=bits.size, available_bits=carriers.size)
-    before = px[carriers]
-    after = embed_to[bits, before]
+        raise CapacityError(required_bits=bits.size, available_bits=before.size)
+    # embed_to[bits, before], read through a flat index
+    flat = bits.astype(np.uint16)
+    flat <<= IMAGE_DEPTH
+    flat |= before
+    after = embed_to.ravel()[flat]
+    del flat
     stego_px = px.copy()
-    stego_px[carriers] = after
+    # in blocks, so that no full-size pixel-index array is built
+    for lo in range(0, after.size, _ORDER_BLOCK):
+        hi = lo + _ORDER_BLOCK
+        at = positions[lo:hi] if order is None else order[positions[lo:hi]]
+        stego_px[at] = after[lo:hi]
+    # freed before the SSE's full-size int64 temporary, not beside it
+    del positions, at
     # carriers are distinct and no other pixel changes
     sse = metrics.squared_error(after, before)
     report = EmbedReport(
@@ -373,16 +487,16 @@ def extract(stego: GrayImage, params: StegoParams) -> bytes:
     """Recover the payload embedded with the same params (key included)."""
     emb, digit, _ = plane_luts(params.scheme, params.plane)
     px, order = _traversal(stego, params)
-    carriers, _ = _carriers(px, emb, order, 32)
-    if carriers.size < 32:
+    _, values, _ = _carriers(px, emb, order, 32)
+    if values.size < 32:
         raise TruncationError(
-            f"image offers {carriers.size} embeddable bits, header needs 32"
+            f"image offers {values.size} embeddable bits, header needs 32"
         )
-    end = _frame_end(digit[px[carriers]])
-    carriers, _ = _carriers(px, emb, order, end)
-    if carriers.size < end:
+    end = _frame_end(digit[values])
+    _, values, _ = _carriers(px, emb, order, end)
+    if values.size < end:
         raise TruncationError(
             f"header declares {(end - 32) // 8} bytes but only "
-            f"{carriers.size - 32} payload bits are available"
+            f"{values.size - 32} payload bits are available"
         )
-    return unframe(digit[px[carriers]])
+    return unframe(digit[values])

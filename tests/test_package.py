@@ -1,6 +1,9 @@
 """The package's public surface and README's library example."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,3 +41,15 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(blocks[0], str(README), "exec"), {})
     assert (tmp_path / "stego.pgm").is_file()
+
+
+def test_import_loads_no_thread_pool():
+    # `planestego planes` (the CLI's cheapest command) imports the same
+    # modules; only a large keyed order may pay for concurrent.futures
+    src = Path(planestego.__file__).resolve().parent.parent
+    code = (
+        "import sys, planestego, planestego.cli; "
+        "sys.exit('concurrent.futures' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,3 +1,7 @@
+import os
+import threading
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +26,7 @@ from planestego.stego_engine import (
     extract,
     frame,
     pixel_order,
+    plane_luts,
     table_for,
     unframe,
 )
@@ -132,6 +137,48 @@ class TestKeyedOrderMatchesReference:
             order[0] = 1
 
 
+BLOCK = stego_engine._ORDER_BLOCK
+
+
+@lru_cache(maxsize=None)
+def reference_order(n):
+    return fisher_yates_reference(n, b"workers")
+
+
+class TestKeyedOrderWorkers:
+    """The threaded stages against the sequential shuffle, and the pool's
+    lifetime."""
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_any_worker_count_matches_reference(self, workers, n, monkeypatch):
+        monkeypatch.setattr(stego_engine, "_order_workers", lambda count: workers)
+        before = threading.active_count()
+        order = stego_engine._keyed_order(n, b"workers")
+        assert threading.active_count() == before
+        assert order.tolist() == reference_order(n)
+
+    def test_large_order_uses_the_cpus_it_may(self, monkeypatch):
+        n = stego_engine._THREADED_MIN
+        workers = stego_engine._order_workers(n)
+        if hasattr(os, "sched_getaffinity"):
+            assert workers == min(len(os.sched_getaffinity(0)), n // BLOCK)
+        before = threading.active_count()
+        order = stego_engine._keyed_order(n, b"cpus")
+        assert threading.active_count() == before
+        monkeypatch.setattr(stego_engine, "_order_workers", lambda count: 1)
+        assert np.array_equal(order, stego_engine._keyed_order(n, b"cpus"))
+
+    def test_small_order_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda t: started.append(t) or start(t)
+        )
+        stego_engine._keyed_order(512 * 512, b"small")
+        assert started == []
+
+
 class TestCapacity:
     def test_binary_everything_embeddable(self):
         cover = random_cover(20, 10)
@@ -216,6 +263,26 @@ class TestStegoParams:
     def test_key_normalized_to_bytes(self):
         params = StegoParams(WeightScheme(SchemeKind.BINARY), key=bytearray(b"k"))
         assert isinstance(params.key, bytes)
+
+    @pytest.mark.parametrize("plane", [1.5, 1.0, "1", None])
+    def test_non_integer_plane_raises_type_error(self, plane):
+        with pytest.raises(TypeError):
+            StegoParams(WeightScheme(SchemeKind.BINARY), plane=plane)
+        with pytest.raises(TypeError):
+            plane_luts(WeightScheme(SchemeKind.BINARY), plane)
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["cold", "warm"])
+    def test_integer_like_plane_is_that_plane(self, cached):
+        scheme = WeightScheme(SchemeKind.BINARY)
+        want = plane_oracle(table_for(scheme), 1)
+        plane_luts.cache_clear()
+        if cached:
+            plane_luts(scheme, 1)
+        for plane in (True, np.int64(1)):
+            params = StegoParams(scheme, plane=plane)
+            assert type(params.plane) is int and params.plane == 1
+            for got, expected in zip(plane_luts(scheme, plane), want):
+                assert np.array_equal(got, expected)
 
 
 class TestEmbedExtract:
