@@ -11,7 +11,6 @@ from .image_io import (
 )
 from .metrics import DistortionReport, psnr
 from .number_systems import (
-    BitplaneMap,
     SchemeKind,
     WeightScheme,
     WeightTable,
@@ -34,7 +33,6 @@ from .stego_engine import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitplaneMap",
     "CapacityError",
     "DistortionReport",
     "EmbedReport",

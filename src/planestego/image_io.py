@@ -35,7 +35,8 @@ class GrayImage:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"dimensions must be >= 1, got {self.width}x{self.height}")
         if not isinstance(self.pixels, bytes):
-            object.__setattr__(self, "pixels", bytes(self.pixels))
+            # not bytes(pixels), which turns an int into that many zero bytes
+            object.__setattr__(self, "pixels", bytes(memoryview(self.pixels)))
         if len(self.pixels) != self.width * self.height:
             raise ValueError(
                 f"expected {self.width * self.height} pixels, got {len(self.pixels)}"

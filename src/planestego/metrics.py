@@ -27,11 +27,18 @@ def _check_shapes(a: GrayImage, b: GrayImage) -> None:
         )
 
 
+# Elements per block of squared_error, whose int64 differences take 512 KiB
+_SSE_BLOCK = 1 << 16
+
+
 def squared_error(a: np.ndarray, b: np.ndarray) -> int:
-    """Exact sum of squared differences of two equal-size uint8 arrays."""
-    d = a.astype(np.int64)
-    d -= b
-    return int(np.dot(d, d))
+    """Exact sum of squared differences of two equal-size 1-D uint8 arrays."""
+    total = 0
+    for lo in range(0, a.size, _SSE_BLOCK):
+        d = a[lo : lo + _SSE_BLOCK].astype(np.int64)
+        d -= b[lo : lo + _SSE_BLOCK]
+        total += int(np.dot(d, d))
+    return total
 
 
 def distortion(sse: int, pixels: int) -> DistortionReport:

@@ -10,17 +10,34 @@ canonical choice is the lexicographically greatest digit string read from
 the most significant plane down, which a largest-weight-first greedy pass
 realizes.
 
-Canonical strings exist only as a (2^k, n) uint8 matrix, built for all
-values at once by greedy_digits and held, read-only, by a BitplaneMap
-(build_map). Bit depths up to 16 (MAX_BITDEPTH) are kept because the
-matrix handles them with no extra code, and it is built only on request:
-natural weights at k = 16 give 65536 x 362 uint8, about 24 MB. The image
-pipeline itself uses k = 8.
+A WeightTable holds these strings as `digits`, a read-only (2^k, n)
+uint8 matrix built by one greedy_digits pass, and cannot be made from
+weights that leave a value unrepresented. Bit depths up to 16
+(MAX_BITDEPTH) cost no extra code and are built only on request: natural
+weights at k = 16 give 65536 x 362 uint8, about 24 MB. The image pipeline
+uses k = 8.
+
+That n is the first whose reach R(n), the largest gap-valid sum of the
+first n weights (every gap-th one from the top down), is at least
+2^k - 1, because greedy over those weights covers all of [0, R(n)]:
+
+- Gap 1 (binary, natural, primes): R(n) = S(n - 1), where
+  S(m) = w[0] + ... + w[m]. Here w[0] = 1 and w[m] <= 1 + S(m - 1); for
+  the primes, Bertrand's postulate gives w[m] <= 2 w[m-1] - 1 for m >= 2,
+  and w[m-1] <= 1 + S(m - 2). So by induction on m, a value v >= w[m]
+  leaves v - w[m] <= S(m - 1), and a smaller v is at most S(m - 1).
+- Fibonacci of order p (gap g = p + 1): w[i] = i + 1 for i <= p and
+  w[i+1] = w[i] + w[i+1-g] after, so R(n) = w[n] - 1 by induction. A
+  value v < w[n] takes the largest w[i] <= v and leaves less than
+  w[i+1] - w[i], which is 1 for i < p and w[i+1-g] otherwise, so by
+  induction the weights at indices <= i - g, which greedy may still
+  take, cover the rest (the generalized Zeckendorf argument).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -45,10 +62,11 @@ class WeightScheme:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, SchemeKind):
             raise ValueError(f"unknown scheme kind: {self.kind!r}")
-        if self.p < 1:
-            raise ValueError(f"Fibonacci order must be >= 1, got {self.p}")
-        if self.kind is not SchemeKind.FIBONACCI and self.p != 1:
-            object.__setattr__(self, "p", 1)  # p is meaningless elsewhere
+        p = operator.index(self.p)  # an int: 2.0 must not share p = 2's caches
+        if p < 1:
+            raise ValueError(f"Fibonacci order must be >= 1, got {p}")
+        # p is meaningless elsewhere
+        object.__setattr__(self, "p", p if self.kind is SchemeKind.FIBONACCI else 1)
 
 
 @dataclass(frozen=True)
@@ -56,13 +74,15 @@ class WeightTable:
     """The first n weights of a scheme, covering all k-bit values.
 
     weights[0] is the least significant plane; the sequence is strictly
-    ascending.
+    ascending. digits[v, i], read-only, is digit i of the canonical string
+    of v; weights that leave some value unrepresented raise ValueError.
     """
 
     scheme: WeightScheme
     k: int
     n: int
     weights: tuple[int, ...]
+    digits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= MAX_BITDEPTH:
@@ -73,6 +93,13 @@ class WeightTable:
             raise ValueError("weights must be positive")
         if any(a >= b for a, b in zip(self.weights, self.weights[1:])):
             raise ValueError("weights must be strictly ascending")
+        digits, leftover = greedy_digits(self.scheme, self.weights, self.max_value)
+        if leftover.any():
+            raise ValueError(
+                f"no covering weight table for {self.scheme} at k={self.k}"
+            )
+        digits.flags.writeable = False
+        object.__setattr__(self, "digits", digits)
 
     @property
     def max_value(self) -> int:
@@ -144,13 +171,10 @@ def greedy_digits(
 def build_weight_table(scheme: WeightScheme, k: int) -> WeightTable:
     """Table with the smallest n whose first n weights cover [0, 2^k - 1].
 
-    No n covers the range while its largest gap-valid subset sum, every
-    gap-th weight from the top down, falls short of 2^k - 1, so the search
-    starts at the first n that reaches it. From there n grows only while
-    the greedy pass leaves some value without a representation. The same
-    rule serves every scheme. The start is found over weights generated in
-    doubling batches, with a running sum, so it costs about as much as
-    generating the final n weights.
+    That is the first n whose reach is at least 2^k - 1: no smaller n
+    covers the range, and greedy covers it at this n (module docstring).
+    The reach is a running sum over weights generated in doubling batches,
+    so the search costs about as much as generating n weights.
     """
     if not 1 <= k <= MAX_BITDEPTH:
         raise ValueError(f"bit depth must be in [1, {MAX_BITDEPTH}], got {k}")
@@ -165,31 +189,9 @@ def build_weight_table(scheme: WeightScheme, k: int) -> WeightTable:
             weights = generate_weights(scheme, 2 * i)
         reach.append(weights[i] + (reach[i - gap] if i >= gap else 0))
     n = len(reach)
-    while True:
-        weights = generate_weights(scheme, n)
-        if not greedy_digits(scheme, weights, limit)[1].any():
-            return WeightTable(scheme=scheme, k=k, n=n, weights=weights)
-        if n > limit:
-            raise ValueError(f"no covering weight table for {scheme} at k={k}")
-        n += 1
+    return WeightTable(scheme=scheme, k=k, n=n, weights=weights[:n])
 
 
-@dataclass(frozen=True, eq=False)
-class BitplaneMap:
-    """Canonical mapping for one weight table.
-
-    digits[v, i] is digit i of the canonical string of v; the (2^k, n)
-    uint8 matrix is read-only.
-    """
-
-    table: WeightTable
-    digits: np.ndarray
-
-
-def build_map(table: WeightTable) -> BitplaneMap:
-    """Canonical digit strings of every value of the table's domain."""
-    digits, leftover = greedy_digits(table.scheme, table.weights, table.max_value)
-    if leftover.any():  # unreachable for tables built by build_weight_table
-        raise ValueError(f"weights do not cover [0, {table.max_value}]")
-    digits.flags.writeable = False
-    return BitplaneMap(table=table, digits=digits)
+def build_map(table: WeightTable) -> np.ndarray:
+    """The table's canonical digit matrix (table.digits)."""
+    return table.digits

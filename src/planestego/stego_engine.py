@@ -43,13 +43,7 @@ import numpy as np
 
 from . import metrics
 from .image_io import GrayImage
-from .number_systems import (
-    BitplaneMap,
-    WeightScheme,
-    WeightTable,
-    build_map,
-    build_weight_table,
-)
+from .number_systems import WeightScheme, WeightTable, build_weight_table
 
 IMAGE_DEPTH = 8
 MAX_PAYLOAD_BYTES = 2**32 - 1
@@ -79,13 +73,9 @@ class TruncationError(Exception):
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
-def _map_for(scheme: WeightScheme) -> BitplaneMap:
-    return build_map(build_weight_table(scheme, IMAGE_DEPTH))
-
-
 def table_for(scheme: WeightScheme) -> WeightTable:
     """The scheme's weight table at the image pipeline's bit depth."""
-    return _map_for(scheme).table
+    return build_weight_table(scheme, IMAGE_DEPTH)
 
 
 def _check_plane(scheme: WeightScheme, plane: int) -> int:
@@ -119,16 +109,16 @@ def plane_luts(
     Non-embeddable values map to themselves.
     """
     plane = _check_plane(scheme, plane)
-    bitmap = _map_for(scheme)
-    digits = bitmap.digits
+    table = table_for(scheme)
+    digits = table.digits
     values = np.arange(digits.shape[0])
     digit = digits[:, plane]
-    partner = values + np.where(digit, -1, 1) * bitmap.table.weights[plane]
+    partner = values + np.where(digit, -1, 1) * table.weights[plane]
     partner = np.where((partner >= 0) & (partner < values.size), partner, values)
     flips = digits[partner] != digits
     emb = flips[:, plane] & (np.count_nonzero(flips, axis=1) == 1)
     embed_to = np.where(emb & (digit != np.arange(2)[:, None]), partner, values)
-    embed_to = embed_to.astype(np.min_scalar_type(bitmap.table.max_value))
+    embed_to = embed_to.astype(np.min_scalar_type(table.max_value))
     for arr in (emb, digit, embed_to):
         arr.flags.writeable = False
     return emb, digit, embed_to
@@ -145,7 +135,8 @@ class StegoParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "plane", _check_plane(self.scheme, self.plane))
         if self.key is not None and not isinstance(self.key, bytes):
-            object.__setattr__(self, "key", bytes(self.key))
+            # not bytes(key), which turns an int into that many zero bytes
+            object.__setattr__(self, "key", bytes(memoryview(self.key)))
 
 
 @dataclass(frozen=True)
@@ -390,7 +381,7 @@ def pixel_order(width: int, height: int, key: bytes | None = None) -> np.ndarray
         order.flags.writeable = False
         return order
     if not isinstance(key, bytes):
-        key = bytes(key)
+        key = bytes(memoryview(key))
     return _cached_order(width * height, key)
 
 
@@ -470,7 +461,7 @@ def embed(
         hi = lo + _ORDER_BLOCK
         at = positions[lo:hi] if order is None else order[positions[lo:hi]]
         stego_px[at] = after[lo:hi]
-    # freed before the SSE's full-size int64 temporary, not beside it
+    # freed before the pixel copy below, not beside it
     del positions, at
     # carriers are distinct and no other pixel changes
     sse = metrics.squared_error(after, before)

@@ -13,7 +13,6 @@ from planestego.image_io import GrayImage, read_pgm, write_pgm
 from planestego.number_systems import (
     SchemeKind,
     WeightScheme,
-    build_map,
     build_weight_table,
 )
 from planestego.stego_engine import (
@@ -122,8 +121,8 @@ def test_criterion_2_exhaustive_roundtrip():
     with criterion("2 (canonical digits @ weights = v for all v, all schemes)"):
         start = time.perf_counter()
         for kind in SchemeKind:
-            bitmap = build_map(build_weight_table(WeightScheme(kind), 8))
-            sums = bitmap.digits @ np.array(bitmap.table.weights)
+            table = build_weight_table(WeightScheme(kind), 8)
+            sums = table.digits @ np.array(table.weights)
             assert sums.tolist() == list(range(256))
         assert time.perf_counter() - start < 1.0
 
@@ -132,10 +131,10 @@ def test_criterion_3_canonicality_oracle():
     with criterion("3 (greedy = brute-force lexicographic max, all schemes, p <= 4)"):
         start = time.perf_counter()
         for scheme in ORACLE_SCHEMES:
-            bitmap = build_map(build_weight_table(scheme, 8))
-            best = canonical_masks(bitmap.table)
+            table = build_weight_table(scheme, 8)
+            best = canonical_masks(table)
             for v in range(256):
-                assert digit_mask(bitmap.digits[v]) == best[v], (scheme, v)
+                assert digit_mask(table.digits[v]) == best[v], (scheme, v)
         assert time.perf_counter() - start < 60.0
 
 

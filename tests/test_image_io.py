@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,3 +163,15 @@ class TestGrayImage:
     def test_bytearray_normalized(self):
         img = GrayImage(1, 2, bytearray(b"\x01\x02"))
         assert isinstance(img.pixels, bytes)
+
+    @pytest.mark.parametrize("pixels", [3, "abc"])
+    def test_int_or_str_pixels_raise_type_error(self, pixels):
+        # bytes(3) would be a black 3x1 image
+        with pytest.raises(TypeError):
+            GrayImage(3, 1, pixels)
+
+    def test_buffers_normalized(self):
+        px = np.arange(6, dtype=np.uint8)
+        for pixels in (memoryview(px.tobytes()), px):
+            img = GrayImage(3, 2, pixels)
+            assert img.pixels == px.tobytes()

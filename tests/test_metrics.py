@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from planestego.image_io import GrayImage
-from planestego.metrics import DistortionReport, distortion, psnr
+from planestego.metrics import DistortionReport, distortion, psnr, squared_error
 
 
 def flat(width, height, values):
@@ -69,6 +69,21 @@ class TestPsnr:
         a = GrayImage(2048, 2048, bytes(2048 * 2048))
         b = GrayImage(2048, 2048, b"\xff" * (2048 * 2048))
         assert psnr(a, b) == DistortionReport(mse=65025.0, psnr_db=0.0)
+
+
+class TestSquaredError:
+    def test_exact_across_blocks(self):
+        # differences of +255 and -255 beside random ones, over several
+        # blocks and a partial last one
+        rng = np.random.default_rng(23)
+        size = 3 * 2**16 + 5
+        a = rng.integers(0, 256, size, dtype=np.uint8)
+        b = rng.integers(0, 256, size, dtype=np.uint8)
+        a[::3], b[::3] = 0, 255
+        a[1::3], b[1::3] = 255, 0
+        want = sum((int(x) - int(y)) ** 2 for x, y in zip(a, b))
+        assert squared_error(a, b) == squared_error(b, a) == want
+        assert squared_error(a[:0], b[:0]) == 0
 
 
 class TestDistortion:

@@ -8,11 +8,12 @@ from planestego import number_systems
 from planestego.number_systems import (
     SchemeKind,
     WeightScheme,
-    build_map,
+    WeightTable,
     build_weight_table,
     generate_weights,
     greedy_digits,
 )
+from planestego.stego_engine import table_for
 
 BINARY = WeightScheme(SchemeKind.BINARY)
 FIBONACCI = WeightScheme(SchemeKind.FIBONACCI)
@@ -41,8 +42,27 @@ def scheme_id(scheme) -> str:
 
 def digits_of(scheme, k=8):
     """The table and its canonical digit matrix."""
-    bitmap = build_map(build_weight_table(scheme, k))
-    return bitmap.table, bitmap.digits
+    table = build_weight_table(scheme, k)
+    return table, table.digits
+
+
+def composed(table):
+    """digits @ weights, a column at a time: at k = 16 a whole-matrix
+    product would cast the digits to an int64 copy of up to 190 MB."""
+    sums = np.zeros(table.max_value + 1, dtype=np.int64)
+    for i, w in enumerate(table.weights):
+        sums += table.digits[:, i] * np.int64(w)
+    return sums
+
+
+def first_reaching_count(scheme, k):
+    """The first n whose largest gap-valid sum, every gap-th weight from
+    the top down, reaches 2^k - 1, found by trying n = 1, 2, ..."""
+    gap = scheme.p + 1 if scheme.kind is SchemeKind.FIBONACCI else 1
+    n = 1
+    while sum(generate_weights(scheme, n)[::-1][::gap]) < (1 << k) - 1:
+        n += 1
+    return n
 
 
 def weights_of(v: int, scheme) -> set[int]:
@@ -101,14 +121,40 @@ class TestWeightTables:
         # representability-based oracle, no greedy involved
         assert build_weight_table(scheme, k).n == min_covering_planes(scheme, k)
 
-    def test_uncoverable_weights_raise(self, monkeypatch):
-        # 2 has no representation over 1, 3, 4, 5, ...: the search must give
-        # up, not return a table that misses it
+    @pytest.mark.parametrize("k", [3, 16])
+    def test_uncoverable_weights_raise(self, monkeypatch, k):
+        # 2 has no representation over 1, 3, 4, 5, ...: the table must not
+        # be made, and at k = 16 too that must show at once
         monkeypatch.setattr(
             number_systems, "generate_weights", lambda scheme, n: (1, *range(3, n + 2))
         )
         with pytest.raises(ValueError, match="no covering"):
-            build_weight_table(NATURAL, 3)
+            build_weight_table(NATURAL, k)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=scheme_id)
+    def test_start_is_final(self, scheme):
+        for k in range(1, 17):
+            t = build_weight_table(scheme, k)
+            assert (composed(t) == np.arange(1 << k)).all(), k
+            assert t.n == first_reaching_count(scheme, k), k
+
+    def test_start_is_final_fibonacci_orders(self):
+        for p in range(1, 65):
+            scheme = WeightScheme(SchemeKind.FIBONACCI, p=p)
+            t = build_weight_table(scheme, 8)
+            assert (composed(t) == np.arange(256)).all(), p
+            assert t.n == first_reaching_count(scheme, 8), p
+
+    def test_table_checks_its_own_weights(self):
+        # 2 has no representation over (1, 3, 4)
+        with pytest.raises(ValueError, match="no covering"):
+            WeightTable(NATURAL, k=3, n=3, weights=(1, 3, 4))
+
+    def test_digits_do_not_affect_equality(self):
+        a, b = build_weight_table(PRIME, 8), build_weight_table(PRIME, 8)
+        assert a.digits is not b.digits
+        assert a == b and hash(a) == hash(b)
+        assert "digits" not in repr(a)
 
     @pytest.mark.parametrize("scheme", K16_PLANES, ids=scheme_id)
     def test_k16_plane_count(self, scheme):
@@ -123,6 +169,22 @@ class TestWeightScheme:
     def test_bad_p(self):
         with pytest.raises(ValueError):
             WeightScheme(SchemeKind.FIBONACCI, p=0)
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["cold", "warm"])
+    def test_non_integer_p_raises_type_error(self, cached):
+        # 2.0 == 2, so a float order would share p = 2's cache entries
+        # once they exist
+        table_for.cache_clear()
+        if cached:
+            table_for(FIBONACCI_P2)
+        for p in (2.0, 1.5, "2"):
+            with pytest.raises(TypeError):
+                WeightScheme(SchemeKind.FIBONACCI, p=p)
+
+    def test_integer_like_p_is_that_p(self):
+        scheme = WeightScheme(SchemeKind.FIBONACCI, p=np.int64(2))
+        assert type(scheme.p) is int and scheme == FIBONACCI_P2
+        assert table_for(scheme).weights == table_for(FIBONACCI_P2).weights
 
     def test_fibonacci_higher_order_sequences(self):
         assert generate_weights(WeightScheme(SchemeKind.FIBONACCI, p=2), 8) == (

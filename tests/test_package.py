@@ -15,8 +15,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC_NAMES = {
     # types
-    "BitplaneMap", "DistortionReport", "EmbedReport", "GrayImage", "SchemeKind",
-    "StegoParams", "WeightScheme", "WeightTable",
+    "DistortionReport", "EmbedReport", "GrayImage", "SchemeKind", "StegoParams",
+    "WeightScheme", "WeightTable",
     # exceptions
     "CapacityError", "PgmError", "PgmFormatError", "TruncatedPgmError",
     "TruncationError", "UnsupportedDepthError",
@@ -27,7 +27,7 @@ PUBLIC_NAMES = {
 
 
 def test_exports_are_exactly_the_public_names():
-    assert len(planestego.__all__) == len(PUBLIC_NAMES) == 25
+    assert len(planestego.__all__) == len(PUBLIC_NAMES) == 24
     assert set(planestego.__all__) == PUBLIC_NAMES
     for name in planestego.__all__:
         assert getattr(planestego, name) is not None, name

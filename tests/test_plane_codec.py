@@ -19,13 +19,9 @@ ORACLE_SCHEMES = [WeightScheme(kind) for kind in ALL_KINDS] + [
 ]
 
 
-def map_for(kind, k=8):
-    return build_map(build_weight_table(WeightScheme(kind), k))
-
-
 @pytest.fixture(scope="module")
-def maps():
-    return {kind: map_for(kind) for kind in ALL_KINDS}
+def tables():
+    return {kind: build_weight_table(WeightScheme(kind), 8) for kind in ALL_KINDS}
 
 
 def luts(kind, plane):
@@ -33,28 +29,32 @@ def luts(kind, plane):
 
 
 class TestBuildMap:
-    def test_binary_valid_set_is_every_string(self, maps):
-        m = maps[SchemeKind.BINARY]
-        assert {tuple(row) for row in m.digits.tolist()} == set(
+    def test_binary_valid_set_is_every_string(self, tables):
+        t = tables[SchemeKind.BINARY]
+        assert {tuple(row) for row in t.digits.tolist()} == set(
             itertools.product((0, 1), repeat=8)
         )
 
-    def test_one_canonical_string_per_value(self, maps):
-        for m in maps.values():
-            assert m.digits.shape == (256, m.table.n)
-            assert len(np.unique(m.digits, axis=0)) == 256
+    def test_one_canonical_string_per_value(self, tables):
+        for t in tables.values():
+            assert t.digits.shape == (256, t.n)
+            assert len(np.unique(t.digits, axis=0)) == 256
 
-    def test_forward_composes_back(self, maps):
-        for m in maps.values():
-            assert (m.digits @ np.array(m.table.weights) == np.arange(256)).all()
+    def test_forward_composes_back(self, tables):
+        for t in tables.values():
+            assert (t.digits @ np.array(t.weights) == np.arange(256)).all()
 
-    def test_fibonacci_strings_gap_valid(self, maps):
-        m = maps[SchemeKind.FIBONACCI]
-        assert all(gap_ok(digit_mask(row), 1) for row in m.digits)
+    def test_fibonacci_strings_gap_valid(self, tables):
+        t = tables[SchemeKind.FIBONACCI]
+        assert all(gap_ok(digit_mask(row), 1) for row in t.digits)
 
-    def test_digits_read_only(self, maps):
+    def test_digits_read_only(self, tables):
         with pytest.raises(ValueError):
-            maps[SchemeKind.PRIME].digits[0, 0] = 1
+            tables[SchemeKind.PRIME].digits[0, 0] = 1
+
+    def test_build_map_is_the_tables_digits(self, tables):
+        t = tables[SchemeKind.NATURAL]
+        assert build_map(t) is t.digits
 
 
 class TestPlaneLuts:
@@ -99,9 +99,9 @@ class TestEmbedDigit:
 
 
 class TestExtractDigit:
-    def test_zero_everywhere(self, maps):
-        for kind, m in maps.items():
-            assert all(luts(kind, pl)[1][0] == 0 for pl in range(m.table.n))
+    def test_zero_everywhere(self, tables):
+        for kind, t in tables.items():
+            assert all(luts(kind, pl)[1][0] == 0 for pl in range(t.n))
 
     def test_binary_lsb(self):
         assert luts(SchemeKind.BINARY, 0)[1][171] == 1
@@ -114,16 +114,16 @@ class TestPlaneContract:
     """Exhaustive k=8 checks of the embed/extract digit contract."""
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-    def test_consistency_stability_symmetry_bound(self, maps, kind):
-        m = maps[kind]
+    def test_consistency_stability_symmetry_bound(self, tables, kind):
+        t = tables[kind]
         values = np.arange(256)
-        for plane in range(m.table.n):
+        for plane in range(t.n):
             emb, digit, embed_to = plane_luts(WeightScheme(kind), plane)
             assert (embed_to[digit[emb], values[emb]] == values[emb]).all()
             for bit in (0, 1):
                 u = embed_to[bit, emb]
                 assert (digit[u] == bit).all()
-                assert (np.abs(u.astype(int) - values[emb]) <= m.table.weights[plane]).all()
+                assert (np.abs(u.astype(int) - values[emb]) <= t.weights[plane]).all()
                 assert emb[u].all()
             assert (embed_to[:, ~emb] == values[~emb]).all()
 

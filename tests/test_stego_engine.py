@@ -109,6 +109,17 @@ class TestPixelOrder:
         with pytest.raises(ValueError):
             pixel_order(0, 5)
 
+    @pytest.mark.parametrize("key", [3, "k"])
+    def test_int_or_str_key_raises_type_error(self, key):
+        # bytes(3) would be the key b"\0\0\0"
+        with pytest.raises(TypeError):
+            pixel_order(2, 2, key)
+
+    def test_buffer_key_is_its_bytes(self):
+        want = pixel_order(4, 4, b"key").tolist()
+        for key in (bytearray(b"key"), memoryview(b"key"), np.frombuffer(b"key", np.uint8)):
+            assert pixel_order(4, 4, key).tolist() == want
+
 
 ORDER_KEYS = [b"", b"k", bytes(range(256)) * 3]
 
@@ -249,7 +260,7 @@ class TestCaches:
         img = GrayImage(1, 1, bytes(1))
         for p in range(1, 2 * bound + 2):
             capacity(img, params_for(SchemeKind.FIBONACCI, p=p))
-            for cache in (stego_engine._map_for, stego_engine.plane_luts):
+            for cache in (table_for, plane_luts):
                 assert cache.cache_info().currsize <= bound
 
 
@@ -263,6 +274,12 @@ class TestStegoParams:
     def test_key_normalized_to_bytes(self):
         params = StegoParams(WeightScheme(SchemeKind.BINARY), key=bytearray(b"k"))
         assert isinstance(params.key, bytes)
+
+    @pytest.mark.parametrize("key", [3, "k"])
+    def test_int_or_str_key_raises_type_error(self, key):
+        # bytes(3) would be the key b"\0\0\0"
+        with pytest.raises(TypeError):
+            StegoParams(WeightScheme(SchemeKind.BINARY), key=key)
 
     @pytest.mark.parametrize("plane", [1.5, 1.0, "1", None])
     def test_non_integer_plane_raises_type_error(self, plane):
