@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 _WHITESPACE = b" \t\n\r\v\f"
@@ -25,13 +26,19 @@ class TruncatedPgmError(PgmError):
 
 @dataclass(frozen=True)
 class GrayImage:
-    """8-bit grayscale image, pixels row-major."""
+    """8-bit grayscale image, pixels row-major.
+
+    Dimensions that are not integers raise TypeError; integer-like ones
+    (np.int64) are stored as int.
+    """
 
     width: int
     height: int
     pixels: bytes
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "width", operator.index(self.width))
+        object.__setattr__(self, "height", operator.index(self.height))
         if self.width < 1 or self.height < 1:
             raise ValueError(f"dimensions must be >= 1, got {self.width}x{self.height}")
         if not isinstance(self.pixels, bytes):

@@ -21,11 +21,12 @@ The keyed traversal is fixed exactly, since both sides must reproduce it:
 seed = first 8 bytes of SHA-256(key) read big-endian, a SplitMix64 stream
 from that seed, and a descending Fisher-Yates shuffle whose swap index at
 step i is the next SplitMix64 value reduced modulo i + 1. The shuffle is
-not run step by step: `_keyed_order` derives the same permutation with a
-sort and pointer doubling in numpy, running its element-wise stages on
-every CPU the process may use. At 2048^2 on a 2-vCPU Xeon VM (best of 3)
-that takes about 0.38 s on both CPUs and 0.50 s on one, against 3.6 s for
-the sequential loop. Keyed orders are cached within a fixed byte budget.
+not run step by step: `_keyed_order` derives the same permutation in numpy
+by sorting the steps by swap target and resolving the resulting pointer
+chains a block at a time from the top down, running its element-wise
+stages on every CPU the process may use. At 2048^2 on a 2-vCPU Xeon VM
+(best of 3) that takes about 0.38 s on both CPUs and 0.50 s on one,
+against 3.6 s for the sequential loop. Only the last keyed order is kept.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ import hashlib
 import operator
 import os
 import struct
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,7 +87,9 @@ def _check_plane(scheme: WeightScheme, plane: int) -> int:
     return plane
 
 
-@lru_cache(maxsize=_CACHE_ENTRIES)
+# typed, so that a plane of another type than a cached one (1.0 after 1)
+# misses and goes through _check_plane
+@lru_cache(maxsize=_CACHE_ENTRIES, typed=True)
 def plane_luts(
     scheme: WeightScheme, plane: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -228,9 +229,10 @@ def _chain_ends(up: np.ndarray, ptr: np.ndarray, count: int) -> np.ndarray:
     """End of the pointer chain from each position in [0, count).
 
     Position up[k] points to ptr[k] >= up[k], with up ascending; any other
-    position, or one that points to itself, is a chain end. Chains are followed a block of up at a time
-    from the top down, so a pointer past the block already holds its end,
-    and pointer doubling resolves the pointers that stay inside it.
+    position, or one that points to itself, is a chain end. Chains are
+    followed a block of up at a time from the top down, so a pointer past
+    the block already holds its end, and pointer doubling resolves the
+    pointers that stay inside it.
     """
     a = np.arange(count, dtype=up.dtype)
     bounds = np.searchsorted(up, np.arange(0, count + _ORDER_BLOCK, _ORDER_BLOCK))
@@ -337,43 +339,24 @@ def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
     return order
 
 
-# Bytes the keyed-order cache may hold: the orders of two keys at 4096^2,
-# or of eight at 2048^2. An order larger than this is not kept, and at most
-# _CACHE_ENTRIES orders are, however small.
-_ORDER_CACHE_BYTES = 1 << 28
-_orders: OrderedDict[tuple[int, bytes], np.ndarray] = OrderedDict()
-_orders_lock = threading.Lock()
-
-
+@lru_cache(maxsize=1)
 def _cached_order(count: int, key: bytes) -> np.ndarray:
-    """Read-only keyed order, from a byte-bounded LRU cache."""
-    args = (count, key)
-    with _orders_lock:
-        order = _orders.get(args)
-        if order is not None:
-            _orders.move_to_end(args)
-            return order
+    """Read-only keyed order; the last one built is kept."""
     order = _keyed_order(count, key)
     order.flags.writeable = False
-    if order.nbytes > _ORDER_CACHE_BYTES:
-        return order
-    with _orders_lock:
-        _orders[args] = order
-        while (
-            len(_orders) > _CACHE_ENTRIES
-            or sum(o.nbytes for o in _orders.values()) > _ORDER_CACHE_BYTES
-        ):
-            _orders.popitem(last=False)
     return order
 
 
 def pixel_order(width: int, height: int, key: bytes | None = None) -> np.ndarray:
     """Pixel visiting order: row-major, or a key-seeded permutation.
 
-    Returns a read-only array. Keyed calls with the same pixel count and
-    key share one cached copy while it stays in the bounded cache; the
-    row-major order is cheap to make and is not cached.
+    Returns a read-only array. The last keyed order is cached, so keyed
+    calls with the same pixel count and key share one copy until a call
+    with another key or count replaces it; the row-major order is cheap to
+    make and is not cached. Dimensions that are not integers raise
+    TypeError.
     """
+    width, height = operator.index(width), operator.index(height)
     if width < 1 or height < 1:
         raise ValueError(f"dimensions must be >= 1, got {width}x{height}")
     if key is None:

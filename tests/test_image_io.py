@@ -175,3 +175,19 @@ class TestGrayImage:
         for pixels in (memoryview(px.tobytes()), px):
             img = GrayImage(3, 2, pixels)
             assert img.pixels == px.tobytes()
+
+    @pytest.mark.parametrize(
+        "dims", [(2.5, 2), (2.0, 2), (2, 2.0), ("2", 2)], ids=lambda d: "%rx%r" % d
+    )
+    def test_non_integer_dimensions_raise_type_error(self, dims):
+        # 2.5 x 2 with 5 pixel bytes was once written with the header "2 2"
+        width, height = dims
+        pixels = bytes(int(float(width) * float(height)))
+        with pytest.raises(TypeError):
+            GrayImage(width, height, pixels)
+
+    def test_integer_like_dimensions_stored_as_int(self):
+        img = GrayImage(np.int64(3), np.uint8(2), bytes(6))
+        assert type(img.width) is int and type(img.height) is int
+        assert img == GrayImage(3, 2, bytes(6))
+        assert write_pgm(img) == b"P5\n3 2\n255\n" + bytes(6)

@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 from functools import lru_cache
 
@@ -109,6 +110,23 @@ class TestPixelOrder:
         with pytest.raises(ValueError):
             pixel_order(0, 5)
 
+    @pytest.mark.parametrize("key", [None, b"k"], ids=["unkeyed", "keyed"])
+    @pytest.mark.parametrize("cached", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize(
+        "dims", [(2.0, 2), (2, 2.0), (2.5, 2), (2, "2")], ids=lambda d: "%rx%r" % d
+    )
+    def test_non_integer_dimensions_raise_type_error(self, dims, cached, key):
+        stego_engine._cached_order.cache_clear()
+        if cached:
+            pixel_order(2, 2, key)
+        with pytest.raises(TypeError):
+            pixel_order(*dims, key)
+
+    def test_integer_like_dimensions(self):
+        want = pixel_order(3, 2, b"k")
+        assert pixel_order(np.int64(3), np.uint8(2), b"k") is want
+        assert pixel_order(np.int64(3), np.int64(2)).tolist() == list(range(6))
+
     @pytest.mark.parametrize("key", [3, "k"])
     def test_int_or_str_key_raises_type_error(self, key):
         # bytes(3) would be the key b"\0\0\0"
@@ -208,52 +226,73 @@ class TestCapacity:
 
 
 @pytest.fixture
-def orders(monkeypatch):
-    """A fresh, empty order cache for one test."""
-    fresh = type(stego_engine._orders)()
-    monkeypatch.setattr(stego_engine, "_orders", fresh)
-    return fresh
+def cold_order_cache():
+    """An empty keyed-order cache for one test."""
+    stego_engine._cached_order.cache_clear()
+    return stego_engine._cached_order
 
 
 class TestCaches:
-    def test_order_budget_holds_both_2048_orders(self):
-        assert stego_engine._ORDER_CACHE_BYTES >= 2 * 2048 * 2048 * 8
-
-    def test_order_cache_bounded_by_bytes(self, orders, monkeypatch):
-        budget = 10 * 32 * 32 * 8 + 100
-        monkeypatch.setattr(stego_engine, "_ORDER_CACHE_BYTES", budget)
-        kept = []
-        for k in range(50):
-            kept.append(pixel_order(32, 32, b"key %d" % k))
-            assert sum(o.nbytes for o in orders.values()) <= budget
-        assert len(orders) == 10
-        assert pixel_order(32, 32, b"key 49") is kept[-1]
-        assert pixel_order(32, 32, b"key 0") is not kept[0]
-
-    def test_order_cache_keeps_recently_used(self, orders, monkeypatch):
-        monkeypatch.setattr(stego_engine, "_ORDER_CACHE_BYTES", 2 * 16 * 8)
-        a = pixel_order(4, 4, b"a")
-        pixel_order(4, 4, b"b")
-        assert pixel_order(4, 4, b"a") is a
-        pixel_order(4, 4, b"c")
-        assert pixel_order(4, 4, b"a") is a
-
-    def test_oversized_order_not_cached(self, orders, monkeypatch):
-        monkeypatch.setattr(stego_engine, "_ORDER_CACHE_BYTES", 8 * 8)
-        small = pixel_order(2, 4, b"k")
-        assert pixel_order(3, 3).tolist() == list(range(9))
-        assert [o is small for o in orders.values()] == [True]
-
-    def test_unkeyed_order_not_cached(self, orders):
+    def test_unkeyed_order_not_cached(self, cold_order_cache):
         order = pixel_order(5, 3)
         assert order.tolist() == list(range(15))
         assert not order.flags.writeable
-        assert not orders
+        assert cold_order_cache.cache_info().currsize == 0
 
-    def test_order_cache_bounded_in_entries(self, orders):
-        for k in range(2 * stego_engine._CACHE_ENTRIES):
-            pixel_order(1, 1, b"%d" % k)
-        assert len(orders) == stego_engine._CACHE_ENTRIES
+    def test_same_key_gives_the_same_order(self, cold_order_cache):
+        order = pixel_order(4, 4, b"k")
+        assert pixel_order(4, 4, b"k") is order
+        assert pixel_order(2, 8, bytearray(b"k")) is order
+        assert cold_order_cache.cache_info().hits == 2
+
+    def test_second_key_replaces_the_first(self, cold_order_cache):
+        a = pixel_order(4, 4, b"a")
+        pixel_order(4, 4, b"b")
+        assert cold_order_cache.cache_info().currsize == 1
+        assert pixel_order(4, 4, b"a") is not a
+        assert np.array_equal(pixel_order(4, 4, b"a"), a)
+        pixel_order(5, 5, b"a")
+        assert cold_order_cache.cache_info().currsize == 1
+
+    def test_row_major_call_leaves_the_cache_alone(self, cold_order_cache):
+        keyed = pixel_order(4, 4, b"k")
+        info = cold_order_cache.cache_info()
+        pixel_order(4, 4)
+        pixel_order(3, 3)
+        assert cold_order_cache.cache_info() == info
+        assert pixel_order(4, 4, b"k") is keyed
+
+    def test_concurrent_keyed_calls(self, cold_order_cache):
+        # more threads than CPUs, switching often, alternating two keys so
+        # that calls keep replacing each other's order in the cache
+        keys = [b"left", b"right"]
+        want = [fisher_yates_reference(48 * 48, key) for key in keys]
+        threads = 8
+        barrier = threading.Barrier(threads, timeout=30)
+        got, done = [], []
+
+        def call(t):
+            barrier.wait()
+            for k in range(12):
+                i = (t + k) % 2
+                got.append((i, pixel_order(48, 48, keys[i])))
+            done.append(t)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=call, args=(t,)) for t in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(done) == list(range(threads))
+        # checked after every call has returned: no order handed out changes
+        assert all(order.tolist() == want[i] for i, order in got)
+        assert cold_order_cache.cache_info().currsize == 1
 
     def test_bounded_under_many_fibonacci_orders(self):
         bound = stego_engine._CACHE_ENTRIES
@@ -287,6 +326,13 @@ class TestStegoParams:
             StegoParams(WeightScheme(SchemeKind.BINARY), plane=plane)
         with pytest.raises(TypeError):
             plane_luts(WeightScheme(SchemeKind.BINARY), plane)
+
+    def test_non_integer_plane_raises_type_error_with_plane_cached(self):
+        scheme = WeightScheme(SchemeKind.BINARY)
+        plane_luts(scheme, 1)
+        for plane in (1.0, 1.5):
+            with pytest.raises(TypeError):
+                plane_luts(scheme, plane)
 
     @pytest.mark.parametrize("cached", [False, True], ids=["cold", "warm"])
     def test_integer_like_plane_is_that_plane(self, cached):
