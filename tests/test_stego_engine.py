@@ -1,6 +1,8 @@
 import os
 import sys
 import threading
+import time
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -294,6 +296,36 @@ class TestCaches:
         assert all(order.tolist() == want[i] for i, order in got)
         assert cold_order_cache.cache_info().currsize == 1
 
+    def test_cold_key_built_once_under_concurrency(self, cold_order_cache, monkeypatch):
+        # the build waits, so that every thread asks while the first builds
+        builds = []
+        build = stego_engine._keyed_order
+
+        def slow_build(count, key):
+            builds.append(key)
+            time.sleep(0.2)
+            return build(count, key)
+
+        monkeypatch.setattr(stego_engine, "_keyed_order", slow_build)
+        threads = 4
+        barrier = threading.Barrier(threads, timeout=30)
+        got = []
+
+        def call():
+            barrier.wait()
+            got.append(pixel_order(64, 64, b"cold"))
+
+        pool = [threading.Thread(target=call) for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert builds == [b"cold"]
+        want = fisher_yates_reference(64 * 64, b"cold")
+        assert len(got) == threads
+        assert all(order.tolist() == want for order in got)
+
     def test_bounded_under_many_fibonacci_orders(self):
         bound = stego_engine._CACHE_ENTRIES
         img = GrayImage(1, 1, bytes(1))
@@ -301,6 +333,61 @@ class TestCaches:
             capacity(img, params_for(SchemeKind.FIBONACCI, p=p))
             for cache in (table_for, plane_luts):
                 assert cache.cache_info().currsize <= bound
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes allocated while fn runs, as tracemalloc sees them; numpy
+    reports its array buffers to it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+MEMORY_SIDE = 1024
+
+
+class TestKeyedMemory:
+    """Working memory of the keyed path at 1024^2, in bytes per pixel.
+
+    Each bound sits above what the code allocates: the cold order holds
+    16.1-16.8 B/px for any thread count (bound 18), and a warm
+    full-capacity binary round trip 3.8 B/px in embed (bound 5) and 2.8 in
+    extract (bound 4). Full-size position arrays, scan-round copies or an
+    int64 copy of an int32 index array break them.
+    """
+
+    @pytest.fixture(scope="class")
+    def round_trip(self):
+        n = MEMORY_SIDE * MEMORY_SIDE
+        cover = random_cover(MEMORY_SIDE, MEMORY_SIDE, seed=83)
+        params = params_for(SchemeKind.BINARY, key=b"memory")
+        payload = np.random.default_rng(83).bytes(n // 8 - 4)
+        stego, report = embed(cover, payload, params)
+        assert report.bits_embedded == n  # every pixel carries a bit
+        return cover, payload, params, stego
+
+    def test_cold_order(self):
+        n = MEMORY_SIDE * MEMORY_SIDE
+        assert traced_peak(stego_engine._keyed_order, n, b"memory") <= 18 * n
+
+    def test_full_capacity_embed(self, round_trip):
+        cover, payload, params, _ = round_trip
+        pixel_order(cover.width, cover.height, params.key)  # warm
+        assert traced_peak(embed, cover, payload, params) <= 5 * len(cover.pixels)
+
+    def test_full_capacity_extract(self, round_trip):
+        _, payload, params, stego = round_trip
+        pixel_order(stego.width, stego.height, params.key)  # warm
+        assert traced_peak(extract, stego, params) <= 4 * len(stego.pixels)
+        assert extract(stego, params) == payload
 
 
 class TestStegoParams:
@@ -507,8 +594,8 @@ def sparse_cover(params, size, rate, seed):
 
 
 def chunk_covers(params):
-    """Covers larger than the first scan round, and a sparse one that needs
-    several rounds for a 1 KiB payload (no value is skipped in binary)."""
+    """Covers larger than the first scan block, and a sparse one that needs
+    several blocks for a 1 KiB payload (no value is skipped in binary)."""
     covers = [random_cover(300, 300, seed=71), random_cover(70001, 1, seed=72)]
     emb, _, _ = stego_engine.plane_luts(params.scheme, params.plane)
     if not emb.all():
