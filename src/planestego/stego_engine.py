@@ -30,12 +30,12 @@ not run step by step: `_keyed_order` derives the same permutation in numpy
 by sorting the steps by swap target and resolving the resulting pointer
 chains a block at a time from the top down, running its element-wise
 stages on every CPU the process may use. At 2048^2 on a 2-vCPU Xeon VM
-(best of 3) that takes about 0.38 s on both CPUs and 0.50 s on one,
-against 3.6 s for the sequential loop. The build holds about 16 bytes per
-step at its peak (the sorted uint64 keys, or the int64 order, beside two
-int32 arrays): ru_maxrss grows by about 68 MB at 2048^2 and 262 MB at
-4096^2. Only the last keyed order is kept, and concurrent callers build a
-cold one once.
+that takes 0.29-0.34 s on both CPUs and 0.36-0.44 s on one. The build
+holds about 16 bytes per step at its peak, the sorted uint64 keys beside
+the int64 order: ru_maxrss grows by about 67 MB at 2048^2 and 260 MB at
+4096^2. A keyed order has at most 2^32 steps, so that a step and its swap
+target each fit one uint32 half of a key. Only the last keyed order is
+kept, and concurrent callers build a cold one once.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import hashlib
 import operator
 import os
 import struct
+import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -205,6 +206,10 @@ _ORDER_BLOCK = 1 << 16
 # 11 ms) costs about what a second thread saves on a 2-vCPU VM.
 _THREADED_MIN = 1 << 20
 
+# Which uint32 half of a native uint64 key s << 32 | i holds the step i; the
+# other holds the target s.
+_STEP_HALF = 0 if sys.byteorder == "little" else 1
+
 
 def _order_workers(count: int) -> int:
     """Threads that build an order of `count` steps: one per CPU the
@@ -225,7 +230,11 @@ def _keyed_order(count: int, key: bytes) -> np.ndarray:
     pool that lives for this call when the order is large. The calling
     thread allocates every full-size array and each block writes only its
     own part, so the result does not depend on the number of threads.
+    More than 2^32 steps raise ValueError before anything is allocated.
     """
+    # a step and its swap target each fill one uint32 half of a key
+    if count > 2**32:
+        raise ValueError(f"a keyed order has at most 2^32 steps, got {count}")
     workers = _order_workers(count)
     if workers == 1:
         return _resolve_order(count, key, map)
@@ -236,24 +245,26 @@ def _keyed_order(count: int, key: bytes) -> np.ndarray:
         return _resolve_order(count, key, pool.map)
 
 
-def _chain_ends(target: np.ndarray, step: np.ndarray, same: np.ndarray) -> np.ndarray:
-    """End of the pointer chain from each position in [0, target.size).
+def _chain_ends(
+    keys: np.ndarray, step: np.ndarray, target: np.ndarray, same: np.ndarray
+) -> np.ndarray:
+    """End of the pointer chain from each position in [0, keys.size).
 
-    Each group of the sorted steps but the first (`same` marks the steps
-    that share a group with the next) points from position target[k] up to
+    `keys` are the sorted keys, and `step` and `target` their halves. Each
+    group of the sorted steps but the first (`same` marks the steps that
+    share a group with the next) points from position target[k] up to
     step[k], k the group's first step; any other position, or one that
     points to itself, is a chain end. Chains are followed a block of
     positions at a time from the top down, so a pointer past the block
     already holds its end, and pointer doubling resolves the pointers that
-    stay inside it. A block finds its groups in the span of sorted steps
-    that target it, so no array of all groups is built.
+    stay inside it. A block finds its groups in the span of sorted keys
+    whose target lies in it, so no array of all groups is built.
     """
-    count = target.size
-    a = np.arange(count, dtype=target.dtype)
-    # queries of target's dtype, which numpy would otherwise copy to match
-    starts = np.arange(0, count, _ORDER_BLOCK, dtype=target.dtype)
-    # the sorted steps that target block b are bounds[b]:bounds[b + 1]
-    bounds = np.append(np.searchsorted(target, starts), count)
+    count = keys.size
+    a = np.arange(count, dtype=np.uint32)
+    # searched in the contiguous keys: numpy would copy the strided target
+    starts = np.arange(0, count, _ORDER_BLOCK, dtype=np.uint64)
+    bounds = np.append(np.searchsorted(keys, starts << np.uint64(32)), count)
     for b in range(starts.size - 1, -1, -1):
         # step 0 heads the first group and is a self-swap: it never points
         lo, hi = max(int(bounds[b]), 1), int(bounds[b + 1])
@@ -283,6 +294,10 @@ def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
     not a self-swap, that is A of the smallest step of group j, or j if the
     group is empty; these pointers only go up, so following them to their
     chain ends resolves them. A self-swap's A is never read.
+
+    Its six stages are the draws, the sort, the compare, the chain resolve,
+    the fix-up and the scatter. After the sort, step and target are the
+    uint32 halves of the sorted keys, read in place.
     """
     blocks = range(0, count, _ORDER_BLOCK)
 
@@ -291,11 +306,9 @@ def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
         for _ in mapper(stage, blocks):
             pass
 
-    idx = np.int32 if count < 2**31 else np.int64
-    bits = np.uint64(max(1, (count - 1).bit_length()))
     seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
-    # keys[i] = s[i] << bits | i, with step 0 a no-op swap of position 0.
+    # keys[i] = s[i] << 32 | i, with step 0 a no-op swap of position 0.
     # Step i draws the (count - i)-th SplitMix64 output, modulo i + 1.
     keys = np.empty(count, dtype=np.uint64)
     keys[0] = 0
@@ -304,24 +317,14 @@ def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
         lo, hi = max(lo, 1), min(count, lo + _ORDER_BLOCK)
         z = _splitmix64(seed, np.arange(count - lo, count - hi, -1, dtype=np.uint64))
         z %= np.arange(lo + 1, hi + 1, dtype=np.uint64)
-        z <<= bits
+        z <<= np.uint64(32)
         z |= np.arange(lo, hi, dtype=np.uint64)
         keys[lo:hi] = z
 
     each_block(draw)
     keys.sort()
-    target = np.empty(count, dtype=idx)
-    step = np.empty(count, dtype=idx)
-    low_bits = np.uint64((1 << int(bits)) - 1)
-
-    def unpack(lo: int) -> None:
-        part = keys[lo : lo + _ORDER_BLOCK]
-        hi = lo + part.size
-        np.right_shift(part, bits, out=target[lo:hi], casting="unsafe")
-        np.bitwise_and(part, low_bits, out=step[lo:hi], casting="unsafe")
-
-    each_block(unpack)
-    del keys
+    halves = keys.view(np.uint32)
+    step, target = halves[_STEP_HALF::2], halves[1 - _STEP_HALF :: 2]
 
     # same[i]: steps i and i + 1 share a group.
     same = np.empty(count - 1, dtype=bool)
@@ -331,10 +334,10 @@ def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
         np.equal(target[lo + 1 : hi + 1], target[lo:hi], out=same[lo:hi])
 
     each_block(compare)
-    a = _chain_ends(target, step, same)
+    a = _chain_ends(keys, step, target, same)
 
-    # Step i keeps s[i], or A of the next step of its group; both fit in
-    # target, and no int64 index array is built.
+    # Step i keeps s[i], or A of the next step of its group, written over
+    # s[i] in its key: the keys are not read as sorted after this.
     def fix_up(lo: int) -> None:
         hi = min(count - 1, lo + _ORDER_BLOCK)
         joined = same[lo:hi]
@@ -369,11 +372,12 @@ def _cached_order(count: int, key: bytes) -> np.ndarray:
 def pixel_order(width: int, height: int, key: bytes | None = None) -> np.ndarray:
     """Pixel visiting order: row-major, or a key-seeded permutation.
 
-    Returns a read-only array. The last keyed order is cached, so keyed
-    calls with the same pixel count and key share one copy until a call
-    with another key or count replaces it, and concurrent calls build it
-    once; the row-major order is cheap to make and is not cached.
-    Dimensions that are not integers raise TypeError.
+    Returns a read-only int64 array. The last keyed order is cached, so
+    keyed calls with the same pixel count and key share one copy until a
+    call with another key or count replaces it, and concurrent calls build
+    it once; the row-major order is cheap to make and is not cached.
+    Dimensions that are not integers raise TypeError, and a keyed order of
+    more than 2^32 pixels raises ValueError before any work.
     """
     width, height = operator.index(width), operator.index(height)
     if width < 1 or height < 1:
@@ -425,6 +429,10 @@ def embed(
     cover: GrayImage, payload: bytes, params: StegoParams
 ) -> tuple[GrayImage, EmbedReport]:
     """Write the framed payload into the cover, one bit per embeddable pixel."""
+    required = 32 + 8 * len(payload)
+    if required > cover.width * cover.height:
+        # cannot fit even if every pixel carried a bit: fail before framing
+        raise CapacityError(required, capacity(cover, params))
     bits = frame(payload)
     emb, _, embed_to = plane_luts(params.scheme, params.plane)
     px, order = _traversal(cover, params)

@@ -11,6 +11,7 @@ import planestego
 from planestego.cli import DEFAULT_ANALYZE_PAYLOAD_BYTES, DEFAULT_ANALYZE_SEED, run
 from planestego.image_io import GrayImage, read_pgm, write_pgm
 from planestego.number_systems import SchemeKind, WeightScheme
+from planestego import stego_engine
 from planestego.stego_engine import StegoParams, capacity, embed
 
 
@@ -161,6 +162,21 @@ def test_capacity_exceeded_exit3(tmp_path, cover_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert str(32 + 8 * 64 * 48) in err and str(64 * 48) in err
+
+
+def test_payload_too_large_to_frame_exit3(tmp_path, cover_path, capsys, monkeypatch):
+    # a payload of gigabytes cannot be framed in memory (a byte per bit):
+    # one that cannot fit must exit 3 without framing it
+    def no_memory(payload):
+        raise MemoryError(f"framing {len(payload)} bytes")
+
+    monkeypatch.setattr(stego_engine, "frame", no_memory)
+    big = tmp_path / "big.bin"
+    big.write_bytes(bytes(64 * 48))  # more bits than pixels
+    rc = run(["embed", "--scheme", "binary", "--key", "k", "--in", str(cover_path),
+              "--payload", str(big), "--out", str(tmp_path / "s.pgm")])
+    assert rc == 3
+    assert str(32 + 8 * 64 * 48) in capsys.readouterr().err
 
 
 def test_extract_truncation_exit3(tmp_path, capsys):

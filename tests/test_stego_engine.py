@@ -209,6 +209,21 @@ class TestKeyedOrderWorkers:
         stego_engine._keyed_order(512 * 512, b"small")
         assert started == []
 
+    def test_over_2_32_steps_raise_before_any_thread_or_allocation(self, monkeypatch):
+        # 2^32 + 2^16 steps would need about 34 GB: the limit must come first
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda t: started.append(t) or start(t)
+        )
+
+        def call():
+            with pytest.raises(ValueError, match=r"2\^32"):
+                pixel_order(2**16, 2**16 + 1, b"k")
+
+        assert traced_peak(call) < 64 * 1024
+        assert started == []
+
 
 class TestCapacity:
     def test_binary_everything_embeddable(self):
@@ -532,6 +547,28 @@ class TestEmbedExtract:
         assert exc.value.required_bits == 32 + 8 * len(b"way too much data")
         assert exc.value.available_bits == 16
         assert "168" in str(exc.value) and "16" in str(exc.value)
+
+    def test_payload_over_the_pixel_count_fails_before_framing(self):
+        # framing takes a byte per bit: 32 MiB for this 4 MiB payload
+        cover = random_cover(512, 512, seed=61)
+        params = params_for(SchemeKind.BINARY, key=b"oversize")
+        payload = bytes(4 << 20)
+        caught = []
+
+        def call():
+            with pytest.raises(CapacityError) as exc:
+                embed(cover, payload, params)
+            caught.append(exc.value)
+
+        assert traced_peak(call) < 1 << 20
+        assert caught[0].required_bits == 32 + 8 * len(payload)
+        assert caught[0].available_bits == capacity(cover, params)
+
+    def test_payload_over_the_pixel_count_builds_no_order(self, cold_order_cache):
+        cover = random_cover(64, 64, seed=61)
+        with pytest.raises(CapacityError):
+            embed(cover, bytes(4096), params_for(SchemeKind.BINARY, key=b"oversize"))
+        assert cold_order_cache.cache_info().misses == 0
 
     def test_extract_header_truncation(self):
         # craft a stego image whose header promises more than the image holds
