@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 I/O or image format error,
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import random
 import sys
@@ -213,7 +214,13 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    # The interpreter's final collection would traverse every object still
+    # alive, most of them made by numpy's import: about 20 ms per call.
+    # Frozen objects are skipped, and unlike os._exit, sys.exit still runs
+    # atexit handlers and flushes stdout and stderr.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -91,9 +91,12 @@ def run_process(*argv: bytes) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, with argv passed as raw bytes."""
     src = str(Path(planestego.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    # stdout block-buffered, as into any pipe, so that output lost at exit shows
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable.encode(), b"-m", b"planestego.cli", *argv],
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
         capture_output=True,
         check=False,
     )
@@ -129,6 +132,34 @@ def test_raw_byte_key_capacity_and_analyze(cover_path):
     payload = random.Random(DEFAULT_ANALYZE_SEED).randbytes(DEFAULT_ANALYZE_PAYLOAD_BYTES)
     _, report = embed(cover, payload[: (int(cap) - 32) // 8], params)
     assert (plane, int(bits), db) == ("0", report.bits_embedded, f"{report.psnr_db:.4f}")
+
+
+# main() freezes the collector before sys.exit; through it, the output and
+# the exit codes must be what run() gives in-process
+
+
+def test_planes_through_main(capsys):
+    assert run(["planes"]) == 0
+    expected = capsys.readouterr().out
+    done = run_process(b"planes")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode().splitlines() == expected.splitlines()
+
+
+def test_missing_input_exit2_through_main(tmp_path):
+    done = run_process(b"capacity", b"--scheme", b"binary",
+                       b"--in", bytes(tmp_path / "nope.pgm"))
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"error: ") and b"nope.pgm" in done.stderr
+
+
+def test_extract_truncation_exit3_through_main(tmp_path, truncated_path):
+    out = tmp_path / "x.bin"
+    done = run_process(b"extract", b"--scheme", b"binary",
+                       b"--in", bytes(truncated_path), b"--out", bytes(out))
+    assert (done.returncode, done.stdout) == (3, b"")
+    assert done.stderr.startswith(b"error: ") and b"1000000 bytes" in done.stderr
+    assert not out.exists()
 
 
 def test_utf8_key_is_encoded_as_utf8(tmp_path, cover_path, payload_path):
@@ -179,12 +210,18 @@ def test_payload_too_large_to_frame_exit3(tmp_path, cover_path, capsys, monkeypa
     assert str(32 + 8 * 64 * 48) in capsys.readouterr().err
 
 
-def test_extract_truncation_exit3(tmp_path, capsys):
+@pytest.fixture
+def truncated_path(tmp_path):
+    """An 8x8 stego image whose binary plane-0 header declares 10^6 bytes."""
     px = np.zeros(64, dtype=np.uint8)
     px[:32] |= np.unpackbits(np.frombuffer((10**6).to_bytes(4, "big"), np.uint8))
-    bad = tmp_path / "bad.pgm"
-    bad.write_bytes(write_pgm(GrayImage(8, 8, px.tobytes())))
-    rc = run(["extract", "--scheme", "binary", "--in", str(bad),
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(write_pgm(GrayImage(8, 8, px.tobytes())))
+    return path
+
+
+def test_extract_truncation_exit3(tmp_path, truncated_path, capsys):
+    rc = run(["extract", "--scheme", "binary", "--in", str(truncated_path),
               "--out", str(tmp_path / "x.bin")])
     assert rc == 3
 

@@ -123,7 +123,9 @@ class TestPlaneContract:
             for bit in (0, 1):
                 u = embed_to[bit, emb]
                 assert (digit[u] == bit).all()
-                assert (np.abs(u.astype(int) - values[emb]) <= t.weights[plane]).all()
+                # exactly 0 or w: embed's PSNR counts the carriers that change
+                moves = np.abs(u.astype(int) - values[emb])
+                assert np.isin(moves, (0, t.weights[plane])).all()
                 assert emb[u].all()
             assert (embed_to[:, ~emb] == values[~emb]).all()
 
