@@ -19,6 +19,7 @@ import numpy as np
 from .image_io import GrayImage, PgmError, read_pgm, write_pgm
 from .number_systems import SchemeKind, WeightScheme
 from .stego_engine import (
+    HEADER_BITS,
     CapacityError,
     StegoParams,
     TruncationError,
@@ -187,8 +188,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         for plane in range(table_for(scheme).n):
             params = StegoParams(scheme=scheme, plane=plane, key=key)
             cap = int(hist[plane_luts(scheme, plane)[0]].sum())
-            if cap >= 32:
-                fit = payload[: (cap - 32) // 8]
+            if cap >= HEADER_BITS:
+                fit = payload[: (cap - HEADER_BITS) // 8]
                 _, report = embed(cover, fit, params)
                 bits, db = report.bits_embedded, _fmt_db(report.psnr_db)
             else:

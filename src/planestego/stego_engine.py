@@ -30,9 +30,9 @@ not run step by step: `_keyed_order` derives the same permutation in numpy
 by sorting the steps by swap target and resolving the resulting pointer
 chains a block at a time from the top down, running its element-wise
 stages on every CPU the process may use. At 2048^2 on a 2-vCPU Xeon VM
-that takes 0.29-0.34 s on both CPUs and 0.36-0.44 s on one. The build
+that takes 0.27-0.40 s on both CPUs and 0.37-0.45 s on one. The build
 holds about 16 bytes per step at its peak, the sorted uint64 keys beside
-the int64 order: ru_maxrss grows by about 67 MB at 2048^2 and 260 MB at
+the int64 order: ru_maxrss grows by about 71 MB at 2048^2 and 263 MB at
 4096^2. A keyed order has at most 2^32 steps, so that a step and its swap
 target each fit one uint32 half of a key. Only the last keyed order is
 kept, and concurrent callers build a cold one once.
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import operator
 import os
-import struct
 import sys
 import threading
 from dataclasses import dataclass
@@ -55,7 +54,9 @@ from .image_io import GrayImage
 from .number_systems import WeightScheme, WeightTable, build_weight_table
 
 IMAGE_DEPTH = 8
-MAX_PAYLOAD_BYTES = 2**32 - 1
+# the frame's big-endian byte-length header
+HEADER_BITS = 32
+MAX_PAYLOAD_BYTES = 2**HEADER_BITS - 1
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
@@ -162,24 +163,14 @@ def frame(payload: bytes) -> np.ndarray:
     """Header-plus-payload bitstream, one uint8 per bit, MSB first."""
     if len(payload) > MAX_PAYLOAD_BYTES:
         raise ValueError(f"payload of {len(payload)} bytes exceeds 2^32 - 1")
-    framed = struct.pack(">I", len(payload)) + payload
+    framed = len(payload).to_bytes(HEADER_BITS // 8, "big") + payload
     return np.unpackbits(np.frombuffer(framed, dtype=np.uint8))
 
 
-def _frame_end(header: np.ndarray) -> int:
-    """Bit length of the whole frame that a 32-bit header declares."""
-    return 32 + 8 * int.from_bytes(np.packbits(header[:32]).tobytes(), "big")
-
-
-def unframe(bits: np.ndarray) -> bytes:
-    """Inverse of frame; ignores bits past the declared length."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size < 32:
-        raise ValueError("bitstream shorter than the 32-bit header")
-    end = _frame_end(bits)
-    if bits.size < end:
-        raise ValueError(f"bitstream holds {bits.size} bits, header needs {end}")
-    return np.packbits(bits[32:end]).tobytes()
+def _frame_end(bits: np.ndarray) -> int:
+    """Bit length of the whole frame that the header atop `bits` declares."""
+    header = np.packbits(bits[:HEADER_BITS]).tobytes()
+    return HEADER_BITS + 8 * int.from_bytes(header, "big")
 
 
 def _splitmix64(seed: int, z: np.ndarray) -> np.ndarray:
@@ -245,29 +236,33 @@ def _keyed_order(count: int, key: bytes) -> np.ndarray:
 
 
 def _chain_ends(
-    keys: np.ndarray, step: np.ndarray, target: np.ndarray, same: np.ndarray
-) -> np.ndarray:
-    """End of the pointer chain from each position in [0, keys.size).
+    keys: np.ndarray, step: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """End of the pointer chain from each position in [0, keys.size), and
+    `same`: same[i] marks that sorted steps i and i + 1 share a group.
 
     `keys` are the sorted keys, and `step` and `target` their halves. Each
-    group of the sorted steps but the first (`same` marks the steps that
-    share a group with the next) points from position target[k] up to
-    step[k], k the group's first step; any other position, or one that
-    points to itself, is a chain end. Chains are followed a block of
+    group of the sorted steps but the first points from position target[k]
+    up to step[k], k the group's first step; any other position, or one
+    that points to itself, is a chain end. Chains are followed a block of
     positions at a time from the top down, so a pointer past the block
     already holds its end, and pointer doubling resolves the pointers that
     stay inside it. A block finds its groups in the span of sorted keys
-    whose target lies in it, so no array of all groups is built.
+    whose target lies in it, comparing each step there with the one before
+    as it goes, so no array of all groups is built.
     """
     count = keys.size
     a = np.arange(count, dtype=np.uint32)
+    same = np.empty(count - 1, dtype=bool)
     # searched in the contiguous keys: numpy would copy the strided target
     starts = np.arange(0, count, _ORDER_BLOCK, dtype=np.uint64)
     bounds = np.append(np.searchsorted(keys, starts << np.uint64(32)), count)
     for b in range(starts.size - 1, -1, -1):
         # step 0 heads the first group and is a self-swap: it never points
         lo, hi = max(int(bounds[b]), 1), int(bounds[b + 1])
-        heads = np.flatnonzero(~same[lo - 1 : hi - 1])
+        span = same[lo - 1 : hi - 1]
+        np.equal(target[lo:hi], target[lo - 1 : hi - 1], out=span)
+        heads = np.flatnonzero(~span)
         heads += lo
         u, v = target[heads], a[step[heads]]
         a[u] = v
@@ -278,7 +273,7 @@ def _chain_ends(
             moved = w != v
             u, v = u[moved], w[moved]
             a[u] = v
-    return a
+    return a, same
 
 
 def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
@@ -294,9 +289,9 @@ def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
     group is empty; these pointers only go up, so following them to their
     chain ends resolves them. A self-swap's A is never read.
 
-    Its six stages are the draws, the sort, the compare, the chain resolve,
-    the fix-up and the scatter. After the sort, step and target are the
-    uint32 halves of the sorted keys, read in place.
+    Its five stages are the draws, the sort, the chain resolve, the fix-up
+    and the scatter. After the sort, step and target are the uint32 halves
+    of the sorted keys, read in place.
     """
     blocks = range(0, count, _ORDER_BLOCK)
 
@@ -327,16 +322,7 @@ def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
     keys.sort()
     halves = keys.view(np.uint32)
     step, target = halves[_STEP_HALF::2], halves[1 - _STEP_HALF :: 2]
-
-    # same[i]: steps i and i + 1 share a group.
-    same = np.empty(count - 1, dtype=bool)
-
-    def compare(lo: int) -> None:
-        hi = min(count - 1, lo + _ORDER_BLOCK)
-        np.equal(target[lo + 1 : hi + 1], target[lo:hi], out=same[lo:hi])
-
-    each_block(compare)
-    a = _chain_ends(keys, step, target, same)
+    a, same = _chain_ends(keys, step, target)
 
     # Step i keeps s[i], or A of the next step of its group, written over
     # s[i] in its key: the keys are not read as sorted after this.
@@ -431,7 +417,7 @@ def embed(
     cover: GrayImage, payload: bytes, params: StegoParams
 ) -> tuple[GrayImage, EmbedReport]:
     """Write the framed payload into the cover, one bit per embeddable pixel."""
-    required = 32 + 8 * len(payload)
+    required = HEADER_BITS + 8 * len(payload)
     if required > cover.width * cover.height:
         # cannot fit even if every pixel carried a bit: fail before framing
         raise CapacityError(required, capacity(cover, params))
@@ -480,15 +466,17 @@ def extract(stego: GrayImage, params: StegoParams) -> bytes:
     for _, _, values in _carrier_blocks(px, emb, order):
         parts.append(digit.take(values))
         have += values.size
-        if end is None and have >= 32:
+        if end is None and have >= HEADER_BITS:
             end = _frame_end(np.concatenate(parts))
         if end is not None and have >= end:
             break
     else:
         if end is None:
-            raise TruncationError(f"image offers {have} embeddable bits, header needs 32")
+            raise TruncationError(
+                f"image offers {have} embeddable bits, header needs {HEADER_BITS}"
+            )
         raise TruncationError(
-            f"header declares {(end - 32) // 8} bytes but only "
-            f"{have - 32} payload bits are available"
+            f"header declares {(end - HEADER_BITS) // 8} bytes but only "
+            f"{have - HEADER_BITS} payload bits are available"
         )
-    return unframe(np.concatenate(parts))
+    return np.packbits(np.concatenate(parts)[HEADER_BITS:end]).tobytes()

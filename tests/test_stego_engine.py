@@ -31,7 +31,6 @@ from planestego.stego_engine import (
     pixel_order,
     plane_luts,
     table_for,
-    unframe,
 )
 
 ALL_KINDS = list(SchemeKind)
@@ -67,17 +66,10 @@ class TestFrame:
 
     @given(st.binary(max_size=300))
     @settings(max_examples=80, deadline=None)
-    def test_unframe_roundtrip(self, payload):
-        assert unframe(frame(payload)) == payload
-
-    def test_unframe_short_header(self):
-        with pytest.raises(ValueError):
-            unframe(np.zeros(31, dtype=np.uint8))
-
-    def test_unframe_short_payload(self):
-        bits = frame(b"xy")[:40]
-        with pytest.raises(ValueError):
-            unframe(bits)
+    def test_header_declares_the_frame_length(self, payload):
+        bits = frame(payload)
+        assert stego_engine._frame_end(bits) == bits.size == 32 + 8 * len(payload)
+        assert np.packbits(bits[32:]).tobytes() == payload
 
 
 class TestPixelOrder:
@@ -511,15 +503,21 @@ class TestEmbedExtract:
         assert stego.pixels[32:] == cover.pixels[32:]
 
     def test_distortion_bounded_by_plane_weight(self):
+        # every pixel moves by exactly 0 or the plane's weight: the invariant
+        # behind embed's SSE of w^2 per changed carrier
         cover = random_cover(seed=13)
+        a = np.frombuffer(cover.pixels, dtype=np.uint8).astype(np.int16)
         for kind in ALL_KINDS:
             table = table_for(WeightScheme(kind))
             for plane in (0, table.n - 1):
-                params = params_for(kind, plane=plane)
-                stego, _ = embed(cover, b"bound check", params)
-                a = np.frombuffer(cover.pixels, dtype=np.uint8).astype(np.int16)
-                b = np.frombuffer(stego.pixels, dtype=np.uint8).astype(np.int16)
-                assert np.abs(a - b).max() <= table.weights[plane]
+                w = table.weights[plane]
+                for key in (None, b"bound"):
+                    params = params_for(kind, plane=plane, key=key)
+                    stego, _ = embed(cover, b"bound check", params)
+                    b = np.frombuffer(stego.pixels, dtype=np.uint8).astype(np.int16)
+                    delta = np.abs(a - b)
+                    assert np.isin(delta, (0, w)).all()
+                    assert (delta == w).any()
 
     def test_deterministic_stego_output(self):
         cover = random_cover(seed=23)
@@ -640,6 +638,16 @@ def chunk_covers(params):
     return covers
 
 
+def split_header_cover(start, carriers):
+    """1 x 200 000 cover with `carriers` natural plane-0 carriers: 20 in the
+    first scan block, the rest from `start` on (0 carries and 255 is
+    skipped), so a frame's 32-bit header spans two blocks."""
+    px = np.full(200_000, 255, dtype=np.uint8)
+    px[:20] = 0
+    px[start : start + carriers - 20] = 0
+    return GrayImage(px.size, 1, px.tobytes())
+
+
 FULL_SCAN_CASES = [
     (kind, plane)
     for kind in ALL_KINDS
@@ -682,6 +690,22 @@ class TestMatchesFullScan:
         assert report.pixels_visited == last + 1
         assert (stego, report) == embed_reference(cover, b"A", params)
         assert extract(stego, params) == extract_reference(stego, params) == b"A"
+
+    @pytest.mark.parametrize("start", [65535, 65536, 131072])
+    def test_header_split_across_blocks(self, start):
+        cover = split_header_cover(start, 40)
+        params = params_for(SchemeKind.NATURAL)
+        stego, report = embed(cover, b"A", params)
+        assert (stego, report) == embed_reference(cover, b"A", params)
+        assert extract(stego, params) == extract_reference(stego, params) == b"A"
+
+    @pytest.mark.parametrize("start", [65535, 65536, 131072])
+    def test_header_split_across_blocks_truncated(self, start):
+        cover = split_header_cover(start, 25)
+        params = params_for(SchemeKind.NATURAL)
+        got = outcome(extract, cover, params)
+        assert got[0] is TruncationError
+        assert got == outcome(extract_reference, cover, params)
 
     def test_truncation_messages(self):
         params = params_for(SchemeKind.BINARY)
