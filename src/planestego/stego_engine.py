@@ -18,9 +18,9 @@ built, embedding and extraction cost grows with the payload, not the image.
 pass; `embed` writes only the carriers whose value changes and counts
 them: each moves by exactly the plane's weight, so its PSNR comes from
 that count alone. No array of all carriers' positions is built: a warm
-full-capacity keyed round trip in binary plane 0 allocates about 3.8
-bytes per pixel in `embed` (the stego copy, the frame's bits and the
-output bytes) and 2.8 in `extract` (tracemalloc peaks at 1024^2).
+full-capacity round trip in binary plane 0, keyed or not, allocates about
+4.0 bytes per pixel in `embed` (the stego copy, the frame's bits and the
+output bytes) and 2.2 in `extract` (tracemalloc peaks at 1024^2).
 
 The keyed traversal is fixed exactly, since both sides must reproduce it:
 seed = first 8 bytes of SHA-256(key) read big-endian, a SplitMix64 stream
@@ -45,7 +45,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -386,31 +386,30 @@ def capacity(image: GrayImage, params: StegoParams) -> int:
     return int(np.count_nonzero(emb[px]))
 
 
-def _carrier_blocks(px: np.ndarray, emb: np.ndarray, order: np.ndarray | None):
-    """The embeddable pixels of the traversal, one block of _ORDER_BLOCK
-    positions at a time, for as long as the caller reads.
+def _carrier_blocks(image: GrayImage, key: bytes | None, emb: np.ndarray):
+    """The embeddable pixels of the image's traversal, one block of
+    _ORDER_BLOCK positions at a time, for as long as the caller reads.
 
-    Yields each block's first position, the offsets of its embeddable
-    pixels within it and their values. `order` is None for the row-major
-    traversal, which needs no gather. A caller stops in the block that
-    holds its last carrier, so a short frame reads a prefix of the image,
-    and no array of all carriers' positions is built.
+    Only this scan knows the traversal: row-major when `key` is None, else
+    the key's cached order. Yields each block's first position, the offsets
+    of its embeddable pixels within it, their values, and `where`, which
+    maps such offsets to pixel indices: adding the block's start when
+    row-major, so no index array is built, or reading the block's view of
+    the order. A caller stops in the block that holds its last carrier, so
+    a short frame reads a prefix of the image.
     """
-    for lo in range(0, px.size, _ORDER_BLOCK):
-        hi = lo + _ORDER_BLOCK
-        # take, not []: faster on a block this size (the LUT read by about
-        # 3 times, a full 2048^2 keyed gather 15 against 23 ms)
-        chunk = px[lo:hi] if order is None else px.take(order[lo:hi])
-        slots = np.flatnonzero(emb.take(chunk))
-        yield lo, slots, chunk[slots]
-
-
-def _traversal(image: GrayImage, params: StegoParams):
-    """The image's pixels and its keyed order, or None when unkeyed."""
     px = np.frombuffer(image.pixels, dtype=np.uint8)
-    if params.key is None:
-        return px, None
-    return px, pixel_order(image.width, image.height, params.key)
+    order = None if key is None else pixel_order(image.width, image.height, key)
+    for lo in range(0, px.size, _ORDER_BLOCK):
+        if order is None:
+            chunk, where = px[lo : lo + _ORDER_BLOCK], partial(np.add, lo)
+        else:
+            pos = order[lo : lo + _ORDER_BLOCK]
+            # take, not []: faster on a block this size (the LUT read by about
+            # 3 times, a full 2048^2 keyed gather 15 against 23 ms)
+            chunk, where = px.take(pos), pos.take
+        slots = np.flatnonzero(emb.take(chunk))
+        yield lo, slots, chunk[slots], where
 
 
 def embed(
@@ -424,20 +423,17 @@ def embed(
     bits = frame(payload)
     emb, _, embed_to = plane_luts(params.scheme, params.plane)
     weight = table_for(params.scheme).weights[params.plane]
-    px, order = _traversal(cover, params)
-    stego_px = px.copy()
+    stego_px = np.frombuffer(cover.pixels, dtype=np.uint8).copy()
     have = changed = 0
-    for lo, slots, before in _carrier_blocks(px, emb, order):
+    for lo, slots, before, where in _carrier_blocks(cover, params.key, emb):
         slots, before = slots[: bits.size - have], before[: bits.size - have]
         # embed_to[bits, before], read through a flat index
         flat = bits[have : have + slots.size].astype(np.uint16)
         flat <<= IMAGE_DEPTH
         flat |= before
         after = embed_to.ravel().take(flat)
-        slots += lo
         moved = np.flatnonzero(after != before)
-        where = slots.take(moved)
-        stego_px[where if order is None else order.take(where)] = after.take(moved)
+        stego_px[where(slots.take(moved))] = after.take(moved)
         changed += moved.size
         have += slots.size
         if have == bits.size:
@@ -445,14 +441,14 @@ def embed(
     else:
         # the scan ran to the end, so it found every embeddable pixel
         raise CapacityError(required_bits=bits.size, available_bits=have)
-    visited = int(slots[-1]) + 1
+    visited = lo + int(slots[-1]) + 1
     report = EmbedReport(
         bits_embedded=int(bits.size),
         pixels_visited=visited,
         pixels_skipped=visited - int(bits.size),
         # a carrier that changes moves to its partner, exactly weight away,
         # and no other pixel changes
-        psnr_db=metrics.distortion(weight * weight * changed, px.size).psnr_db,
+        psnr_db=metrics.distortion(weight * weight * changed, stego_px.size).psnr_db,
     )
     return GrayImage(cover.width, cover.height, stego_px.tobytes()), report
 
@@ -460,21 +456,25 @@ def embed(
 def extract(stego: GrayImage, params: StegoParams) -> bytes:
     """Recover the payload embedded with the same params (key included)."""
     emb, digit, _ = plane_luts(params.scheme, params.plane)
-    px, order = _traversal(stego, params)
     parts: list[np.ndarray] = []
     have, end = 0, None  # end: the frame's bit length, once the header is read
-    for _, _, values in _carrier_blocks(px, emb, order):
+    for _, _, values, _ in _carrier_blocks(stego, params.key, emb):
         parts.append(digit.take(values))
         have += values.size
         if end is None and have >= HEADER_BITS:
             end = _frame_end(np.concatenate(parts))
+            if end > len(stego.pixels):
+                # more bits than pixels cannot fit; every traversal visits
+                # the same carriers, so count them without scanning the rest
+                have = capacity(stego, params)
+                break
         if end is not None and have >= end:
             break
-    else:
-        if end is None:
-            raise TruncationError(
-                f"image offers {have} embeddable bits, header needs {HEADER_BITS}"
-            )
+    if end is None:
+        raise TruncationError(
+            f"image offers {have} embeddable bits, header needs {HEADER_BITS}"
+        )
+    if have < end:
         raise TruncationError(
             f"header declares {(end - HEADER_BITS) // 8} bytes but only "
             f"{have - HEADER_BITS} payload bits are available"

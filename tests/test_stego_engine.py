@@ -362,20 +362,22 @@ MEMORY_SIDE = 1024
 
 
 class TestKeyedMemory:
-    """Working memory of the keyed path at 1024^2, in bytes per pixel.
+    """Working memory of the keyed and row-major paths at 1024^2, in B/px.
 
     Each bound sits above what the code allocates: the cold order holds
     16.1-16.8 B/px for any thread count (bound 18), and a warm
-    full-capacity binary round trip 3.8 B/px in embed (bound 5) and 2.8 in
-    extract (bound 4). Full-size position arrays, scan-round copies or an
-    int64 copy of an int32 index array break them.
+    full-capacity binary round trip, keyed or not, 4.0 B/px in embed
+    (bound 5) and 2.2 in extract (bound 4). Full-size position arrays,
+    scan-round copies or an int64 copy of an int32 index array break them.
     """
 
-    @pytest.fixture(scope="class")
-    def round_trip(self):
+    @pytest.fixture(
+        scope="class", params=[None, b"memory"], ids=["nokey", "keyed"]
+    )
+    def round_trip(self, request):
         n = MEMORY_SIDE * MEMORY_SIDE
         cover = random_cover(MEMORY_SIDE, MEMORY_SIDE, seed=83)
-        params = params_for(SchemeKind.BINARY, key=b"memory")
+        params = params_for(SchemeKind.BINARY, key=request.param)
         payload = np.random.default_rng(83).bytes(n // 8 - 4)
         stego, report = embed(cover, payload, params)
         assert report.bits_embedded == n  # every pixel carries a bit
@@ -706,6 +708,27 @@ class TestMatchesFullScan:
         got = outcome(extract, cover, params)
         assert got[0] is TruncationError
         assert got == outcome(extract_reference, cover, params)
+
+    def test_oversized_header_fails_after_one_block(self, monkeypatch):
+        # binary plane 0 carries everywhere; the first 32 keyed carriers
+        # declare 2^32 - 1 bytes, which no 200 000-pixel image can hold
+        params = params_for(SchemeKind.BINARY, key=b"oversized")
+        px = np.random.default_rng(5).integers(0, 256, 200_000, dtype=np.uint8)
+        px[pixel_order(px.size, 1, params.key)[:32]] |= 1
+        stego = GrayImage(px.size, 1, px.tobytes())
+        blocks = []
+        scan = stego_engine._carrier_blocks
+
+        def counted(*args):
+            for block in scan(*args):
+                blocks.append(block[0])
+                yield block
+
+        monkeypatch.setattr(stego_engine, "_carrier_blocks", counted)
+        got = outcome(extract, stego, params)
+        assert got[0] is TruncationError
+        assert got == outcome(extract_reference, stego, params)
+        assert blocks == [0]
 
     def test_truncation_messages(self):
         params = params_for(SchemeKind.BINARY)
