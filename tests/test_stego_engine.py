@@ -217,7 +217,30 @@ class TestKeyedOrderWorkers:
         assert started == []
 
 
+# every plane of the four schemes at p = 1, and of Fibonacci p = 2
+EVERY_PLANE = [
+    (scheme, plane)
+    for scheme in [WeightScheme(kind) for kind in ALL_KINDS]
+    + [WeightScheme(SchemeKind.FIBONACCI, p=2)]
+    for plane in range(table_for(scheme).n)
+]
+
+
 class TestCapacity:
+    @pytest.mark.parametrize(
+        "scheme, plane",
+        EVERY_PLANE,
+        ids=[f"{s.kind.value}-p{s.p}-{plane}" for s, plane in EVERY_PLANE],
+    )
+    def test_byte_lookup_is_the_plane_table(self, scheme, plane):
+        emb, _, _ = plane_luts(scheme, plane)
+        found = stego_engine._embeddable(bytes(range(256)), emb.tobytes())
+        assert found.dtype == bool and np.array_equal(found, emb)
+        cover = random_cover(64, 48, seed=plane)
+        expected = np.count_nonzero(emb[np.frombuffer(cover.pixels, dtype=np.uint8)])
+        for key in (None, b"lookup"):
+            assert capacity(cover, StegoParams(scheme, plane, key)) == expected
+
     def test_binary_everything_embeddable(self):
         cover = random_cover(20, 10)
         assert capacity(cover, params_for(SchemeKind.BINARY)) == 200
@@ -365,10 +388,11 @@ class TestKeyedMemory:
     """Working memory of the keyed and row-major paths at 1024^2, in B/px.
 
     Each bound sits above what the code allocates: the cold order holds
-    16.1-16.8 B/px for any thread count (bound 18), and a warm
-    full-capacity binary round trip, keyed or not, 4.0 B/px in embed
-    (bound 5) and 2.2 in extract (bound 4). Full-size position arrays,
-    scan-round copies or an int64 copy of an int32 index array break them.
+    16.1-16.8 B/px for any thread count (bound 18), a warm full-capacity
+    binary round trip, keyed or not, 4.0 B/px in embed (bound 5) and 2.2
+    in extract (bound 4), and capacity 1.0 (bound 1.5). Full-size position
+    arrays, scan-round copies, an int64 copy of an int32 index array or an
+    intp index over the whole image break them.
     """
 
     @pytest.fixture(
@@ -397,6 +421,12 @@ class TestKeyedMemory:
         pixel_order(stego.width, stego.height, params.key)  # warm
         assert traced_peak(extract, stego, params) <= 4 * len(stego.pixels)
         assert extract(stego, params) == payload
+
+    def test_capacity(self):
+        cover = random_cover(MEMORY_SIDE, MEMORY_SIDE, seed=83)
+        params = params_for(SchemeKind.FIBONACCI, plane=11)
+        capacity(cover, params)  # builds the plane's tables
+        assert traced_peak(capacity, cover, params) <= 1.5 * len(cover.pixels)
 
 
 class TestStegoParams:
