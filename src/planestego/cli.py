@@ -217,7 +217,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 def main() -> None:
     code = run()
     # The interpreter's final collection would traverse every object still
-    # alive, most of them made by numpy's import: about 20 ms per call.
+    # alive, most of them made by numpy's import: about 8 ms per call.
     # Frozen objects are skipped, and unlike os._exit, sys.exit still runs
     # atexit handlers and flushes stdout and stderr.
     gc.freeze()

@@ -14,13 +14,17 @@ byte-identical to the cover, so extraction only needs the same parameters.
 Both sides scan the traversal once, in fixed blocks of 2^16 positions, and
 stop in the block that holds the last frame bit, so once the order is
 built, embedding and extraction cost grows with the payload, not the image.
-`extract` reads the header and then the frame it declares in that one
-pass; `embed` writes only the carriers whose value changes and counts
-them: each moves by exactly the plane's weight, so its PSNR comes from
-that count alone. No array of all carriers' positions is built: a warm
-full-capacity round trip in binary plane 0, keyed or not, allocates about
-4.0 bytes per pixel in `embed` (the stego copy, the frame's bits and the
-output bytes) and 2.2 in `extract` (tracemalloc peaks at 1024^2).
+A block's carriers are found two pixels per lookup: its bytes, read as
+uint16, index a 65536-entry table of the plane's emb for both bytes, which
+the scan builds from emb in a few microseconds. `capacity` counts carriers
+with the same lookup, a block at a time. `extract` reads the header and
+then the frame it declares in that one pass; `embed` writes only the
+carriers whose value changes and counts them: each moves by exactly the
+plane's weight, so its PSNR comes from that count alone. No array of all
+carriers' positions is built: a warm full-capacity round trip in binary
+plane 0, keyed or not, allocates about 4.0 bytes per pixel in `embed` (the
+stego copy, the frame's bits and the output bytes) and 2.2 in `extract`
+(tracemalloc peaks at 1024^2).
 
 The keyed traversal is fixed exactly, since both sides must reproduce it:
 seed = first 8 bytes of SHA-256(key) read big-endian, a SplitMix64 stream
@@ -379,23 +383,45 @@ def pixel_order(width: int, height: int, key: bytes | None = None) -> np.ndarray
         return _cached_order(width * height, key)
 
 
-def _embeddable(raw: bytes, table: bytes) -> np.ndarray:
-    """Which of the pixel values in `raw` can carry a bit, as a bool array.
+def _pair_table(emb: np.ndarray) -> np.ndarray:
+    """A plane's emb for two pixels at a time: 65536 uint16 entries.
 
-    `table` is a plane's emb as 256 bytes of 0 or 1: bytes.translate looks
-    each value up in one C loop, without widening it to an index first.
+    Entry i, read as its two bytes, holds emb of each byte of i in the same
+    order. That holds in either byte order, so a uint16 view of pixel bytes
+    indexes it directly. It takes about 6 us to build and is not cached:
+    a table for each of the 58 planes `analyze` sweeps would hold 58 times
+    its 128 KiB.
     """
-    return np.frombuffer(raw.translate(table), dtype=bool)
+    e = emb.view(np.uint8).astype(np.uint16)
+    return ((e[:, None] << 8) | e).ravel()
+
+
+def _embeddable(px: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Which pixels of the contiguous uint8 block `px` can carry a bit, as a
+    bool array, looked up two pixels at a time in `pairs` (`_pair_table`).
+
+    An odd-length block is padded with one byte, whose result is dropped.
+    """
+    n = px.size
+    if n % 2:
+        px = np.append(px, np.uint8(0))
+    return pairs.take(px.view(np.uint16)).view(bool)[:n]
 
 
 def capacity(image: GrayImage, params: StegoParams) -> int:
     """Number of pixels whose chosen plane digit can carry a bit.
 
-    Counts the embeddable values of the pixel bytes directly, holding one
-    byte per pixel; the traversal, and so the key, does not change it.
+    Counts the embeddable pixels row-major, one block of _ORDER_BLOCK at a
+    time through the plane's pair table, so its working memory does not
+    grow with the image; the traversal, and so the key, does not change it.
     """
     emb, _, _ = plane_luts(params.scheme, params.plane)
-    return int(np.count_nonzero(_embeddable(image.pixels, emb.tobytes())))
+    pairs = _pair_table(emb)
+    px = np.frombuffer(image.pixels, dtype=np.uint8)
+    return sum(
+        int(np.count_nonzero(_embeddable(px[lo : lo + _ORDER_BLOCK], pairs)))
+        for lo in range(0, px.size, _ORDER_BLOCK)
+    )
 
 
 def _carrier_blocks(image: GrayImage, key: bytes | None, emb: np.ndarray):
@@ -403,15 +429,17 @@ def _carrier_blocks(image: GrayImage, key: bytes | None, emb: np.ndarray):
     _ORDER_BLOCK positions at a time, for as long as the caller reads.
 
     Only this scan knows the traversal: row-major when `key` is None, else
-    the key's cached order. Yields each block's first position, the offsets
-    of its embeddable pixels within it, their values, and `where`, which
-    maps such offsets to pixel indices: adding the block's start when
-    row-major, so no index array is built, or reading the block's view of
-    the order. A caller stops in the block that holds its last carrier, so
-    a short frame reads a prefix of the image.
+    the key's cached order. Each block's pixels, a view of the image
+    row-major or the keyed gather, are tested two at a time through the
+    plane's pair table, built once per scan. Yields each block's first
+    position, the offsets of its embeddable pixels within it, their values,
+    and `where`, which maps such offsets to pixel indices: adding the
+    block's start when row-major, so no index array is built, or reading
+    the block's view of the order. A caller stops in the block that holds
+    its last carrier, so a short frame reads a prefix of the image.
     """
     px = np.frombuffer(image.pixels, dtype=np.uint8)
-    table = emb.tobytes()
+    pairs = _pair_table(emb)
     order = None if key is None else pixel_order(image.width, image.height, key)
     for lo in range(0, px.size, _ORDER_BLOCK):
         if order is None:
@@ -420,7 +448,7 @@ def _carrier_blocks(image: GrayImage, key: bytes | None, emb: np.ndarray):
             pos = order[lo : lo + _ORDER_BLOCK]
             # take, not []: a full 2048^2 keyed gather takes 15 against 23 ms
             chunk, where = px.take(pos), pos.take
-        slots = np.flatnonzero(_embeddable(chunk.tobytes(), table))
+        slots = np.flatnonzero(_embeddable(chunk, pairs))
         yield lo, slots, chunk[slots], where
 
 
