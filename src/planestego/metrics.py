@@ -20,13 +20,6 @@ class DistortionReport:
     psnr_db: float
 
 
-def _check_shapes(a: GrayImage, b: GrayImage) -> None:
-    if (a.width, a.height) != (b.width, b.height):
-        raise ValueError(
-            f"shape mismatch: {a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-
-
 # Elements per block of squared_error, whose int64 differences take 512 KiB
 _SSE_BLOCK = 1 << 16
 
@@ -55,7 +48,10 @@ def distortion(sse: int, pixels: int) -> DistortionReport:
 
 def psnr(a: GrayImage, b: GrayImage) -> DistortionReport:
     """Peak signal-to-noise ratio against a 255 peak."""
-    _check_shapes(a, b)
+    if (a.width, a.height) != (b.width, b.height):
+        raise ValueError(
+            f"shape mismatch: {a.width}x{a.height} vs {b.width}x{b.height}"
+        )
     pa = np.frombuffer(a.pixels, dtype=np.uint8)
     pb = np.frombuffer(b.pixels, dtype=np.uint8)
     return distortion(squared_error(pa, pb), pa.size)

@@ -73,22 +73,20 @@ class WeightScheme:
 class WeightTable:
     """The first n weights of a scheme, covering all k-bit values.
 
-    weights[0] is the least significant plane; the sequence is strictly
-    ascending. digits[v, i], read-only, is digit i of the canonical string
-    of v; weights that leave some value unrepresented raise ValueError.
+    n, the plane count, is len(weights). weights[0] is the least
+    significant plane; the sequence is strictly ascending. digits[v, i],
+    read-only, is digit i of the canonical string of v; weights that leave
+    some value unrepresented, none at all included, raise ValueError.
     """
 
     scheme: WeightScheme
     k: int
-    n: int
     weights: tuple[int, ...]
     digits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= MAX_BITDEPTH:
             raise ValueError(f"bit depth must be in [1, {MAX_BITDEPTH}], got {self.k}")
-        if self.n != len(self.weights) or self.n < 1:
-            raise ValueError("plane count does not match weight list")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
         if any(a >= b for a, b in zip(self.weights, self.weights[1:])):
@@ -100,6 +98,10 @@ class WeightTable:
             )
         digits.flags.writeable = False
         object.__setattr__(self, "digits", digits)
+
+    @property
+    def n(self) -> int:
+        return len(self.weights)
 
     @property
     def max_value(self) -> int:
@@ -188,8 +190,7 @@ def build_weight_table(scheme: WeightScheme, k: int) -> WeightTable:
         if i == len(weights):
             weights = generate_weights(scheme, 2 * i)
         reach.append(weights[i] + (reach[i - gap] if i >= gap else 0))
-    n = len(reach)
-    return WeightTable(scheme=scheme, k=k, n=n, weights=weights[:n])
+    return WeightTable(scheme=scheme, k=k, weights=weights[: len(reach)])
 
 
 def build_map(table: WeightTable) -> np.ndarray:

@@ -283,15 +283,16 @@ def _chain_ends(
 def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
     """`_keyed_order`, with `mapper(stage, blocks)` running each stage.
 
-    Step i (i = count-1 down to 1) swaps positions i and s[i] <= i, and
-    position i is final after it. Sorting the steps by (s[i], i) groups
-    the steps that write each position p, smallest (latest) first. Step i
-    leaves in position i what position s[i] holds just before it: what the
-    next larger step j of its group moved there, or s[i] if there is none.
-    Step j moved A[j], the value at position j just before step j. For j
-    not a self-swap, that is A of the smallest step of group j, or j if the
-    group is empty; these pointers only go up, so following them to their
-    chain ends resolves them. A self-swap's A is never read.
+    Step i (i = count-1 down to 0) swaps positions i and s[i] <= i, and
+    position i is final after it; step 0 draws modulo 1, so s[0] = 0.
+    Sorting the steps by (s[i], i) groups the steps that write each
+    position p, smallest (latest) first. Step i leaves in position i what
+    position s[i] holds just before it: what the next larger step j of its
+    group moved there, or s[i] if there is none. Step j moved A[j], the
+    value at position j just before step j. For j not a self-swap, that is
+    A of the smallest step of group j, or j if the group is empty; these
+    pointers only go up, so following them to their chain ends resolves
+    them. A self-swap's A is never read.
 
     Its five stages are the draws, the sort, the chain resolve, the fix-up
     and the scatter. After the sort, step and target are the uint32 halves
@@ -309,13 +310,13 @@ def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
 
     seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
-    # keys[i] = s[i] << 32 | i, with step 0 a no-op swap of position 0.
-    # Step i draws the (count - i)-th SplitMix64 output, modulo i + 1.
+    # keys[i] = s[i] << 32 | i. Step i draws the (count - i)-th SplitMix64
+    # output, modulo i + 1: step 0's, modulo 1, makes it a no-op swap of
+    # position 0, key 0.
     keys = np.empty(count, dtype=np.uint64)
-    keys[0] = 0
 
     def draw(lo: int) -> None:
-        lo, hi = max(lo, 1), min(count, lo + _ORDER_BLOCK)
+        hi = min(count, lo + _ORDER_BLOCK)
         z = _splitmix64(seed, np.arange(count - lo, count - hi, -1, dtype=np.uint64))
         z %= np.arange(lo + 1, hi + 1, dtype=np.uint64)
         z <<= np.uint64(32)
@@ -471,7 +472,7 @@ def embed(
         flat = bits[have : have + slots.size].astype(np.uint16)
         flat <<= IMAGE_DEPTH
         flat |= before
-        after = embed_to.ravel().take(flat)
+        after = embed_to.take(flat)
         moved = np.flatnonzero(after != before)
         stego_px[where(slots.take(moved))] = after.take(moved)
         changed += moved.size

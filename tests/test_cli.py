@@ -2,17 +2,20 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planestego
 from planestego.cli import DEFAULT_ANALYZE_PAYLOAD_BYTES, DEFAULT_ANALYZE_SEED, run
 from planestego.image_io import GrayImage, read_pgm, write_pgm
 from planestego.number_systems import SchemeKind, WeightScheme
 from planestego import stego_engine
-from planestego.stego_engine import StegoParams, capacity, embed
+from planestego.stego_engine import StegoParams, capacity, embed, table_for
 
 
 @pytest.fixture
@@ -253,6 +256,33 @@ def test_io_errors_exit2(tmp_path, capsys):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"not a pgm at all")
     assert run(["capacity", "--scheme", "binary", "--in", str(bad)]) == 2
+
+
+@given(
+    w=st.integers(1, 16),
+    h=st.integers(1, 16),
+    kind=st.sampled_from(SchemeKind),
+    p=st.integers(1, 3),
+    key=st.none() | st.binary(max_size=8),
+    data=st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_arbitrary_raster_exits_only_through_documented_codes(w, h, kind, p, key, data):
+    # any raster is a cover or a stego image whose header may be garbage:
+    # extract succeeds or reports truncation, the others always succeed
+    px = data.draw(st.binary(min_size=w * h, max_size=w * h))
+    scheme = WeightScheme(kind, p=p)
+    plane = data.draw(st.integers(0, table_for(scheme).n - 1))
+    keyed = [] if key is None else [f"--key={os.fsdecode(key)}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        image = Path(tmp) / "image.pgm"
+        image.write_bytes(write_pgm(GrayImage(w, h, px)))
+        common = ["--scheme", kind.value, "--p", str(p), "--plane", str(plane),
+                  *keyed, "--in", str(image)]
+        out = str(Path(tmp) / "payload.bin")
+        assert run(["extract", *common, "--out", out]) in (0, 3)
+        assert run(["capacity", *common]) == 0
+        assert run(["analyze", *keyed, "--in", str(image)]) == 0
 
 
 def test_analyze_deterministic(cover_path, capsys):

@@ -146,9 +146,14 @@ class TestWeightTables:
             assert t.n == first_reaching_count(scheme, 8), p
 
     def test_table_checks_its_own_weights(self):
-        # 2 has no representation over (1, 3, 4)
-        with pytest.raises(ValueError, match="no covering"):
-            WeightTable(NATURAL, k=3, n=3, weights=(1, 3, 4))
+        # 2 has no representation over (1, 3, 4), and 1 none over ()
+        for weights in [(1, 3, 4), ()]:
+            with pytest.raises(ValueError, match="no covering"):
+                WeightTable(NATURAL, k=3, weights=weights)
+        # the plane count comes from the weights alone
+        for scheme in ALL_SCHEMES:
+            table = build_weight_table(scheme, 8)
+            assert WeightTable(scheme, 8, table.weights) == table
 
     def test_digits_do_not_affect_equality(self):
         a, b = build_weight_table(PRIME, 8), build_weight_table(PRIME, 8)

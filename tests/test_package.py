@@ -45,11 +45,16 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
 
 def test_import_loads_no_thread_pool():
     # `planestego planes` (the CLI's cheapest command) imports the same
-    # modules; only a large keyed order may pay for concurrent.futures
+    # modules; only a large keyed order may pay for concurrent.futures, and
+    # only a keyed order for hashlib, unless numpy or the standard modules
+    # that the CLI imports load it already
     src = Path(planestego.__file__).resolve().parent.parent
     code = (
-        "import sys, planestego, planestego.cli; "
-        "sys.exit('concurrent.futures' in sys.modules)"
+        "import sys, argparse, gc, os, random, pathlib, typing, numpy; "
+        "had_hashlib = 'hashlib' in sys.modules; "
+        "import planestego, planestego.cli; "
+        "sys.exit('concurrent.futures' in sys.modules "
+        "or 'hashlib' in sys.modules and not had_hashlib)"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
