@@ -56,7 +56,15 @@ def _scheme_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--plane", type=int, default=0, help="target plane index (default 0)"
     )
-    parser.add_argument("--key", help="stego-key controlling pixel traversal order")
+    _key_arg(parser)
+
+
+def _key_arg(parser: argparse.ArgumentParser) -> None:
+    # the bytes the command line held, whatever their encoding; a key that
+    # does not encode is a usage error
+    parser.add_argument(
+        "--key", type=os.fsencode, help="stego-key controlling pixel traversal order"
+    )
 
 
 def build_parser() -> _Parser:
@@ -105,21 +113,16 @@ def build_parser() -> _Parser:
         default=DEFAULT_ANALYZE_SEED,
         help=f"seed for the default payload (default {DEFAULT_ANALYZE_SEED})",
     )
-    p_analyze.add_argument("--key", help="stego-key controlling traversal order")
+    _key_arg(p_analyze)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     return parser
 
 
-def _key_from(args: argparse.Namespace) -> bytes | None:
-    """--key as the bytes the command line held, whatever their encoding."""
-    return None if args.key is None else os.fsencode(args.key)
-
-
 def _params_from(args: argparse.Namespace) -> StegoParams:
     try:
         scheme = WeightScheme(SchemeKind(args.scheme), p=args.p)
-        return StegoParams(scheme=scheme, plane=args.plane, key=_key_from(args))
+        return StegoParams(scheme=scheme, plane=args.plane, key=args.key)
     except ValueError as exc:  # a bad --p or --plane
         raise UsageError(str(exc)) from None
 
@@ -176,7 +179,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         payload = Path(args.payload_path).read_bytes()
     else:
         payload = random.Random(args.seed).randbytes(DEFAULT_ANALYZE_PAYLOAD_BYTES)
-    key = _key_from(args)
 
     # capacity(cover, params) for every plane, from one pass over the pixels
     hist = np.bincount(np.frombuffer(cover.pixels, dtype=np.uint8), minlength=256)
@@ -186,7 +188,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for kind in SchemeKind:
         scheme = WeightScheme(kind)
         for plane in range(table_for(scheme).n):
-            params = StegoParams(scheme=scheme, plane=plane, key=key)
+            params = StegoParams(scheme=scheme, plane=plane, key=args.key)
             cap = int(hist[plane_luts(scheme, plane)[0]].sum())
             if cap >= HEADER_BITS:
                 fit = payload[: (cap - HEADER_BITS) // 8]

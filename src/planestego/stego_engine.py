@@ -11,19 +11,20 @@ key-derived permutation when a stego-key is supplied; each visited pixel
 carries one bit if its chosen plane digit is embeddable, and is skipped
 otherwise. Skipped pixels and pixels after the final payload bit stay
 byte-identical to the cover, so extraction only needs the same parameters.
-Both sides scan the traversal once, in fixed blocks of 2^16 positions, and
-stop in the block that holds the last frame bit, so once the order is
-built, embedding and extraction cost grows with the payload, not the image.
-A block's carriers are found two pixels per lookup: its bytes, read as
-uint16, index a 65536-entry table of the plane's emb for both bytes, which
-the scan builds from emb in a few microseconds. `capacity` counts carriers
-with the same lookup, a block at a time. `extract` reads the header and
-then the frame it declares in that one pass; `embed` writes only the
-carriers whose value changes and counts them: each moves by exactly the
-plane's weight, so its PSNR comes from that count alone. No array of all
-carriers' positions is built: a warm full-capacity round trip in binary
-plane 0, keyed or not, allocates about 4.0 bytes per pixel in `embed` (the
-stego copy, the frame's bits and the output bytes) and 2.2 in `extract`
+One scan, `_carrier_blocks`, reads the pixels for every caller. It walks
+the traversal in blocks of 2^16 positions and yields each block's pixels
+and carrier mask, looked up two pixels at a time: the block's bytes, read
+as uint16, index a 65536-entry table of the plane's emb for both bytes,
+built per scan in a few microseconds. `capacity` counts the masks; `embed`
+and `extract` gather each block's carriers and stop in the block that
+holds the last frame bit, so once the order is built, their cost grows
+with the payload, not the image. `extract` reads the header and then the
+frame it declares in that one pass; `embed` writes only the carriers whose
+value changes and counts them: each moves by exactly the plane's weight,
+so its PSNR comes from that count alone. No array of all carriers'
+positions is built: a warm full-capacity round trip in binary plane 0,
+keyed or not, allocates about 4.0 bytes per pixel in `embed` (the stego
+copy, the frame's bits and the output bytes) and 2.2 in `extract`
 (tracemalloc peaks at 1024^2).
 
 The keyed traversal is fixed exactly, since both sides must reproduce it:
@@ -33,13 +34,13 @@ step i is the next SplitMix64 value reduced modulo i + 1. The shuffle is
 not run step by step: `_keyed_order` derives the same permutation in numpy
 by sorting the steps by swap target and resolving the resulting pointer
 chains a block at a time from the top down, running its element-wise
-stages on every CPU the process may use. At 2048^2 on a 2-vCPU Xeon VM
-that takes 0.27-0.40 s on both CPUs and 0.37-0.45 s on one. The build
-holds about 16 bytes per step at its peak, the sorted uint64 keys beside
-the int64 order: ru_maxrss grows by about 71 MB at 2048^2 and 263 MB at
-4096^2. A keyed order has at most 2^32 steps, so that a step and its swap
-target each fit one uint32 half of a key. Only the last keyed order is
-kept, and concurrent callers build a cold one once.
+stages on every CPU the process may use; ROADMAP.md's Baseline gives its
+build time on a named host. The build holds about 16 bytes per step at its
+peak, the sorted uint64 keys beside the int64 order: ru_maxrss grows by
+about 71 MB at 2048^2 and 263 MB at 4096^2. A keyed order has at most 2^32
+steps, so that a step and its swap target each fit one uint32 half of a
+key. Only the last keyed order is kept, and concurrent callers build a
+cold one once.
 """
 
 from __future__ import annotations
@@ -195,9 +196,10 @@ def _splitmix64(seed: int, z: np.ndarray) -> np.ndarray:
 # so a longer block would make short round trips read more pixels.
 _ORDER_BLOCK = 1 << 16
 
-# Orders of fewer steps are built on the calling thread alone: below 1024^2
-# steps, starting a pool (importing concurrent.futures alone takes about
-# 11 ms) costs about what a second thread saves on a 2-vCPU VM.
+# Orders of fewer steps are built on the calling thread alone. On a 2-vCPU
+# AMD EPYC VM, with concurrent.futures already imported (importing it takes
+# about 3.6 ms), two threads built a 512^2 order in 7.3 ms against 7.1 ms on
+# one, and a 1024^2 order in 22.7 ms against 28.9 ms (medians of 15).
 _THREADED_MIN = 1 << 20
 
 # Which uint32 half of a native uint64 key s << 32 | i holds the step i; the
@@ -397,47 +399,33 @@ def _pair_table(emb: np.ndarray) -> np.ndarray:
     return ((e[:, None] << 8) | e).ravel()
 
 
-def _embeddable(px: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Which pixels of the contiguous uint8 block `px` can carry a bit, as a
-    bool array, looked up two pixels at a time in `pairs` (`_pair_table`).
-
-    An odd-length block is padded with one byte, whose result is dropped.
-    """
-    n = px.size
-    if n % 2:
-        px = np.append(px, np.uint8(0))
-    return pairs.take(px.view(np.uint16)).view(bool)[:n]
-
-
 def capacity(image: GrayImage, params: StegoParams) -> int:
     """Number of pixels whose chosen plane digit can carry a bit.
 
-    Counts the embeddable pixels row-major, one block of _ORDER_BLOCK at a
-    time through the plane's pair table, so its working memory does not
-    grow with the image; the traversal, and so the key, does not change it.
+    Counts the masks of the row-major scan a block at a time, so its
+    working memory does not grow with the image; the key does not change it.
     """
     emb, _, _ = plane_luts(params.scheme, params.plane)
-    pairs = _pair_table(emb)
-    px = np.frombuffer(image.pixels, dtype=np.uint8)
     return sum(
-        int(np.count_nonzero(_embeddable(px[lo : lo + _ORDER_BLOCK], pairs)))
-        for lo in range(0, px.size, _ORDER_BLOCK)
+        int(np.count_nonzero(found))
+        for _, found, _, _ in _carrier_blocks(image, None, emb)
     )
 
 
 def _carrier_blocks(image: GrayImage, key: bytes | None, emb: np.ndarray):
-    """The embeddable pixels of the image's traversal, one block of
-    _ORDER_BLOCK positions at a time, for as long as the caller reads.
-
-    Only this scan knows the traversal: row-major when `key` is None, else
-    the key's cached order. Each block's pixels, a view of the image
-    row-major or the keyed gather, are tested two at a time through the
-    plane's pair table, built once per scan. Yields each block's first
-    position, the offsets of its embeddable pixels within it, their values,
-    and `where`, which maps such offsets to pixel indices: adding the
-    block's start when row-major, so no index array is built, or reading
-    the block's view of the order. A caller stops in the block that holds
+    """The image's traversal, one block of _ORDER_BLOCK positions at a time,
+    for as long as the caller reads; a caller stops in the block that holds
     its last carrier, so a short frame reads a prefix of the image.
+
+    Only this scan reads pixel blocks and knows the traversal: row-major
+    when `key` is None, else the key's cached order. Yields (lo, found,
+    chunk, where): the block's first position, its bool carrier mask, its
+    pixels (a view of the image row-major, or the keyed gather), and a map
+    from offsets within the block to pixel indices, adding `lo` row-major
+    so no index array is built, or reading the block's view of the order.
+    The mask is looked up two pixels at a time in the plane's pair table,
+    built once per scan; an odd-length block is padded with one byte, whose
+    result is dropped.
     """
     px = np.frombuffer(image.pixels, dtype=np.uint8)
     pairs = _pair_table(emb)
@@ -449,8 +437,9 @@ def _carrier_blocks(image: GrayImage, key: bytes | None, emb: np.ndarray):
             pos = order[lo : lo + _ORDER_BLOCK]
             # take, not []: a full 2048^2 keyed gather takes 15 against 23 ms
             chunk, where = px.take(pos), pos.take
-        slots = np.flatnonzero(_embeddable(chunk, pairs))
-        yield lo, slots, chunk[slots], where
+        padded = np.append(chunk, np.uint8(0)) if chunk.size % 2 else chunk
+        found = pairs.take(padded.view(np.uint16)).view(bool)[: chunk.size]
+        yield lo, found, chunk, where
 
 
 def embed(
@@ -466,8 +455,12 @@ def embed(
     weight = table_for(params.scheme).weights[params.plane]
     stego_px = np.frombuffer(cover.pixels, dtype=np.uint8).copy()
     have = changed = 0
-    for lo, slots, before, where in _carrier_blocks(cover, params.key, emb):
-        slots, before = slots[: bits.size - have], before[: bits.size - have]
+    for lo, found, chunk, where in _carrier_blocks(cover, params.key, emb):
+        # take over flatnonzero, not chunk[found]: where about half the
+        # pixels carry, as in prime plane 1, a boolean-mask gather made a
+        # full-capacity 2048^2 extract take 15.0 against 3.4 ms
+        slots = np.flatnonzero(found)[: bits.size - have]
+        before = chunk.take(slots)
         # embed_to[bits, before], read through a flat index
         flat = bits[have : have + slots.size].astype(np.uint16)
         flat <<= IMAGE_DEPTH
@@ -499,7 +492,9 @@ def extract(stego: GrayImage, params: StegoParams) -> bytes:
     emb, digit, _ = plane_luts(params.scheme, params.plane)
     parts: list[np.ndarray] = []
     have, end = 0, None  # end: the frame's bit length, once the header is read
-    for _, _, values, _ in _carrier_blocks(stego, params.key, emb):
+    for _, found, chunk, _ in _carrier_blocks(stego, params.key, emb):
+        # take, not chunk[found], as in embed
+        values = chunk.take(np.flatnonzero(found))
         parts.append(digit.take(values))
         have += values.size
         if end is None and have >= HEADER_BITS:

@@ -174,6 +174,24 @@ def test_utf8_key_is_encoded_as_utf8(tmp_path, cover_path, payload_path):
     assert stego.read_bytes() == write_pgm(expected)
 
 
+@pytest.mark.parametrize("command", ["analyze", "capacity", "embed", "extract"])
+def test_unencodable_key_is_a_usage_error(tmp_path, cover_path, payload_path, capsys,
+                                          command):
+    # a lone surrogate has no bytes in the file-system encoding; a command line
+    # cannot hold one, since argv decodes to U+DC80-U+DCFF, but a caller of run can
+    out = tmp_path / "out"
+    args = {
+        "analyze": [],
+        "capacity": ["--scheme", "binary"],
+        "embed": ["--scheme", "binary", "--payload", str(payload_path), "--out", str(out)],
+        "extract": ["--scheme", "binary", "--out", str(out)],
+    }[command]
+    assert run([command, *args, "--key=\ud800", "--in", str(cover_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --key" in captured.err
+    assert not out.exists()
+
+
 def test_embed_deterministic(tmp_path, cover_path, payload_path):
     out1 = tmp_path / "s1.pgm"
     out2 = tmp_path / "s2.pgm"

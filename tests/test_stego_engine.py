@@ -234,15 +234,20 @@ class TestCapacity:
     )
     def test_byte_lookup_is_the_plane_table(self, scheme, plane):
         emb, _, _ = plane_luts(scheme, plane)
-        pairs = stego_engine._pair_table(emb)
+
+        def mask(px):
+            row = GrayImage(px.size, 1, px.tobytes())
+            scan = stego_engine._carrier_blocks(row, None, emb)
+            return np.concatenate([found for _, found, _, _ in scan])
+
         # every two-byte pair, first byte slowest
         px = np.stack(np.divmod(np.arange(1 << 16), 256), -1).astype(np.uint8).ravel()
-        found = stego_engine._embeddable(px, pairs)
+        found = mask(px)
         assert found.dtype == bool and np.array_equal(found, emb[px])
         # odd lengths are padded and trimmed back
         for n in (1, 257):
             px = np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8)
-            assert np.array_equal(stego_engine._embeddable(px, pairs), emb[px])
+            assert np.array_equal(mask(px), emb[px])
         for width, height in ((64, 48), (63, 47)):
             cover = random_cover(width, height, seed=plane)
             expected = np.count_nonzero(emb[np.frombuffer(cover.pixels, dtype=np.uint8)])
@@ -398,7 +403,7 @@ class TestKeyedMemory:
     Each bound sits above what the code allocates: the cold order holds
     16.1-16.8 B/px for any thread count (bound 18), a warm full-capacity
     binary round trip, keyed or not, 4.0 B/px in embed (bound 5) and 2.2
-    in extract (bound 4), and capacity 0.44, one block's lookup (bound
+    in extract (bound 4), and capacity 0.50, a block's lookup (bound
     0.75). Full-size position arrays, scan-round copies, an int64 copy of
     an int32 index array, or in capacity any array of a byte per pixel,
     break them.
@@ -696,6 +701,31 @@ FULL_SCAN_CASES = [
 ]
 
 
+class TestCarrierScan:
+    """What `_carrier_blocks` yields, block by block, against the full order."""
+
+    @pytest.mark.parametrize("key", [None, b"scan"], ids=["nokey", "keyed"])
+    @pytest.mark.parametrize("width, height", [(513, 511), (1, 70001)])
+    @pytest.mark.parametrize(
+        "kind,plane", [(SchemeKind.FIBONACCI, 11), (SchemeKind.PRIME, 1)],
+        ids=lambda c: getattr(c, "value", c),
+    )
+    def test_blocks_follow_the_order(self, kind, plane, width, height, key):
+        cover = random_cover(width, height, seed=plane)
+        emb, _, _ = plane_luts(WeightScheme(kind), plane)
+        px = np.frombuffer(cover.pixels, dtype=np.uint8)
+        order = pixel_order(width, height, key)
+        masks = []
+        for lo, found, chunk, where in stego_engine._carrier_blocks(cover, key, emb):
+            assert lo % stego_engine._ORDER_BLOCK == 0
+            assert found.dtype == bool
+            assert np.array_equal(chunk, px[order[lo : lo + stego_engine._ORDER_BLOCK]])
+            offsets = np.flatnonzero(found)
+            assert np.array_equal(where(offsets), order[lo + offsets])
+            masks.append(found)
+        assert np.array_equal(np.concatenate(masks), emb[px[order]])
+
+
 class TestMatchesFullScan:
     """The prefix scan against the full-gather reference, bit for bit."""
 
@@ -758,9 +788,11 @@ class TestMatchesFullScan:
         blocks = []
         scan = stego_engine._carrier_blocks
 
-        def counted(*args):
-            for block in scan(*args):
-                blocks.append(block[0])
+        # only the keyed scan: `extract` counts capacity in a row-major one
+        def counted(image, key, emb):
+            for block in scan(image, key, emb):
+                if key is not None:
+                    blocks.append(block[0])
                 yield block
 
         monkeypatch.setattr(stego_engine, "_carrier_blocks", counted)
