@@ -14,6 +14,21 @@ from planestego.image_io import (
 )
 
 
+ERROR_MESSAGES = [
+    (b"P2\n1 1\n255\n0", "bad magic: b'P2' (expected P5)"),
+    (b"JUNK", "bad magic: b'JUNK' (expected P5)"),
+    (b"", "unexpected end of header"),
+    (b"P5\n2 1", "unexpected end of header"),
+    (b"P5\n1 1\n65535\n\0\0", "maxval 65535 unsupported (only 255)"),
+    (b"P5\n2 2\n255\n\0\1\2", "raster holds 3 bytes, need 4"),
+    (b"P5\n0 1\n255\n", "bad dimensions: 0x1"),
+    (b"P5\nwide 1\n255\n\0", "bad width: b'wide'"),
+    (b"P5\n2 1\n255", "missing whitespace before raster"),
+    (b"P5 " + b"9" * 5000 + b" 1 255 \0", "bad width: 5000-digit number"),
+    (b"P5\n1 1\n255#\0", "bad maxval: b'255#\\x00'"),
+]
+
+
 def images(max_side=24):
     return st.integers(1, max_side).flatmap(
         lambda w: st.integers(1, max_side).flatmap(
@@ -73,6 +88,15 @@ class TestReadPgm:
     def test_overlong_number(self):
         with pytest.raises(PgmFormatError):
             read_pgm(b"P5 " + b"9" * 5000 + b" 1 255 \x00")
+
+    @pytest.mark.parametrize(
+        "data, message", ERROR_MESSAGES, ids=[m for _, m in ERROR_MESSAGES]
+    )
+    def test_error_message(self, data, message):
+        # the CLI prints these after "error: "; they are part of its output
+        with pytest.raises(PgmError) as exc:
+            read_pgm(data)
+        assert str(exc.value) == message
 
 
 def read_or_pgm_error(data: bytes) -> None:
