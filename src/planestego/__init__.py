@@ -1,14 +1,6 @@
 """LSB steganography over virtual bit planes from integer numeral systems."""
 
-from .image_io import (
-    GrayImage,
-    PgmError,
-    PgmFormatError,
-    TruncatedPgmError,
-    UnsupportedDepthError,
-    read_pgm,
-    write_pgm,
-)
+from .image_io import GrayImage, PgmError, read_pgm, write_pgm
 from .metrics import DistortionReport, psnr
 from .number_systems import (
     SchemeKind,
@@ -38,12 +30,9 @@ __all__ = [
     "EmbedReport",
     "GrayImage",
     "PgmError",
-    "PgmFormatError",
     "SchemeKind",
     "StegoParams",
-    "TruncatedPgmError",
     "TruncationError",
-    "UnsupportedDepthError",
     "WeightScheme",
     "WeightTable",
     "build_map",

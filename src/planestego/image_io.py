@@ -3,25 +3,17 @@
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 
-_WHITESPACE = b" \t\n\r\v\f"
+# whitespace and '#' comment lines, then the token; in a bytes pattern \s is
+# the six ASCII whitespace bytes, as for bytes.isspace()
+_TOKEN = re.compile(rb"(?:\s+|#[^\r\n]*)*(\S*)")
 
 
 class PgmError(ValueError):
-    """Base class for PGM decoding failures."""
-
-
-class PgmFormatError(PgmError):
-    """Malformed magic or header."""
-
-
-class UnsupportedDepthError(PgmError):
-    """maxval other than 255."""
-
-
-class TruncatedPgmError(PgmError):
-    """Fewer raster bytes than width * height."""
+    """A PGM that cannot be decoded: a malformed header, a maxval other than
+    255, or a raster shorter than width * height."""
 
 
 @dataclass(frozen=True)
@@ -52,32 +44,20 @@ class GrayImage:
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Next header token after whitespace and '#' comment lines."""
-    size = len(data)
-    while pos < size:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == ord("#"):
-            while pos < size and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < size and data[pos] not in _WHITESPACE:
-        pos += 1
-    if start == pos:
-        raise PgmFormatError("unexpected end of header")
-    return data[start:pos], pos
+    match = _TOKEN.match(data, pos)
+    if not match[1]:
+        raise PgmError("unexpected end of header")
+    return match[1], match.end()
 
 
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
     if not token.isdigit():
-        raise PgmFormatError(f"bad {what}: {token!r}")
+        raise PgmError(f"bad {what}: {token!r}")
     try:
         return int(token), pos
     except ValueError:  # more digits than int() converts
-        raise PgmFormatError(f"bad {what}: {len(token)}-digit number") from None
+        raise PgmError(f"bad {what}: {len(token)}-digit number") from None
 
 
 def read_pgm(data: bytes) -> GrayImage:
@@ -88,21 +68,21 @@ def read_pgm(data: bytes) -> GrayImage:
     """
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
-        raise PgmFormatError(f"bad magic: {magic!r} (expected P5)")
+        raise PgmError(f"bad magic: {magic!r} (expected P5)")
     width, pos = _int_token(data, pos, "width")
     height, pos = _int_token(data, pos, "height")
     maxval, pos = _int_token(data, pos, "maxval")
     if width < 1 or height < 1:
-        raise PgmFormatError(f"bad dimensions: {width}x{height}")
+        raise PgmError(f"bad dimensions: {width}x{height}")
     if maxval != 255:
-        raise UnsupportedDepthError(f"maxval {maxval} unsupported (only 255)")
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
-        raise PgmFormatError("missing whitespace before raster")
+        raise PgmError(f"maxval {maxval} unsupported (only 255)")
+    if not data[pos : pos + 1].isspace():
+        raise PgmError("missing whitespace before raster")
     pos += 1
     count = width * height
     pixels = data[pos : pos + count]
     if len(pixels) < count:
-        raise TruncatedPgmError(f"raster holds {len(pixels)} bytes, need {count}")
+        raise PgmError(f"raster holds {len(pixels)} bytes, need {count}")
     return GrayImage(width=width, height=height, pixels=pixels)
 
 

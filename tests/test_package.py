@@ -18,8 +18,7 @@ PUBLIC_NAMES = {
     "DistortionReport", "EmbedReport", "GrayImage", "SchemeKind", "StegoParams",
     "WeightScheme", "WeightTable",
     # exceptions
-    "CapacityError", "PgmError", "PgmFormatError", "TruncatedPgmError",
-    "TruncationError", "UnsupportedDepthError",
+    "CapacityError", "PgmError", "TruncationError",
     # functions
     "build_map", "build_weight_table", "capacity", "embed", "extract",
     "pixel_order", "plane_luts", "psnr", "read_pgm", "table_for", "write_pgm",
@@ -27,7 +26,7 @@ PUBLIC_NAMES = {
 
 
 def test_exports_are_exactly_the_public_names():
-    assert len(planestego.__all__) == len(PUBLIC_NAMES) == 24
+    assert len(planestego.__all__) == len(PUBLIC_NAMES) == 21
     assert set(planestego.__all__) == PUBLIC_NAMES
     for name in planestego.__all__:
         assert getattr(planestego, name) is not None, name
