@@ -165,7 +165,8 @@ def greedy_digits(
     for i in range(len(weights) - 1, -1, -1):
         take = (weights[i] <= remaining) & (i <= allowed)
         remaining -= weights[i] * take
-        allowed[take] = i - gap
+        # any gap past the plane count means the same; clamped, it fits int64
+        allowed[take] = max(i - gap, -1)
         digits[:, i] = take
     return digits, remaining
 

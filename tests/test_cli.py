@@ -280,7 +280,7 @@ def test_io_errors_exit2(tmp_path, capsys):
     w=st.integers(1, 16),
     h=st.integers(1, 16),
     kind=st.sampled_from(SchemeKind),
-    p=st.integers(1, 3),
+    p=st.integers(1, 3) | st.integers(2**63 - 1, 2**70),
     key=st.none() | st.binary(max_size=8),
     data=st.data(),
 )

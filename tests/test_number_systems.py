@@ -139,7 +139,9 @@ class TestWeightTables:
             assert t.n == first_reaching_count(scheme, k), k
 
     def test_start_is_final_fibonacci_orders(self):
-        for p in range(1, 65):
+        # a gap past the plane count, even one no int64 holds, means one
+        # weight per value
+        for p in [*range(1, 65), 2**63, 10**20]:
             scheme = WeightScheme(SchemeKind.FIBONACCI, p=p)
             t = build_weight_table(scheme, 8)
             assert (composed(t) == np.arange(256)).all(), p
