@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planestego.image_io import (
-    GrayImage,
-    PgmError,
-    read_pgm,
-    write_pgm,
-)
+from planestego.image_io import GrayImage, PgmError, read_pgm, write_pgm
 
 
 ERROR_MESSAGES = [
