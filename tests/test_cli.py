@@ -337,3 +337,28 @@ def test_analyze_with_payload_file(cover_path, payload_path, capsys):
     assert run(["analyze", "--in", str(cover_path),
                 "--payload", str(payload_path)]) == 0
     assert capsys.readouterr().out
+
+
+def test_psnr_text_of_an_unchanged_cover(tmp_path, capsys):
+    # an empty payload's header is 32 zero bits, which a zero cover already
+    # holds in every plane: no pixel moves, and the PSNR prints as inf
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    for side in (8, 4):
+        cover = tmp_path / f"zero{side}.pgm"
+        cover.write_bytes(write_pgm(GrayImage(side, side, bytes(side * side))))
+        assert run(["analyze", "--in", str(cover), "--payload", str(empty)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 8 + 12 + 15 + 23
+        if side == 8:
+            assert rows[0] == "binary          0             64             32       inf"
+            assert all(row.endswith(f"{64:>13}  {32:>13}  {'inf':>8}") for row in rows)
+        else:  # 16 pixels cannot hold the 32-bit header
+            assert all(row.endswith(f"{16:>13}  {0:>13}  {'n/a':>8}") for row in rows)
+    stego = tmp_path / "stego.pgm"
+    assert run(["embed", "--scheme", "binary", "--in", str(tmp_path / "zero8.pgm"),
+                "--payload", str(empty), "--out", str(stego)]) == 0
+    assert capsys.readouterr().out == (
+        "bits_embedded=32\npixels_visited=32\npixels_skipped=0\npsnr_db=inf\n"
+    )
+    assert stego.read_bytes() == (tmp_path / "zero8.pgm").read_bytes()
