@@ -131,10 +131,6 @@ def _read_image(path: str) -> GrayImage:
     return read_pgm(Path(path).read_bytes())
 
 
-def _fmt_db(value: float) -> str:
-    return "inf" if value == float("inf") else f"{value:.4f}"
-
-
 def _cmd_embed(args: argparse.Namespace) -> int:
     params = _params_from(args)
     cover = _read_image(args.input_path)
@@ -144,7 +140,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     print(f"bits_embedded={report.bits_embedded}")
     print(f"pixels_visited={report.pixels_visited}")
     print(f"pixels_skipped={report.pixels_skipped}")
-    print(f"psnr_db={_fmt_db(report.psnr_db)}")
+    print(f"psnr_db={report.psnr_db:.4f}")
     return 0
 
 
@@ -193,7 +189,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             if cap >= HEADER_BITS:
                 fit = payload[: (cap - HEADER_BITS) // 8]
                 _, report = embed(cover, fit, params)
-                bits, db = report.bits_embedded, _fmt_db(report.psnr_db)
+                bits, db = report.bits_embedded, f"{report.psnr_db:.4f}"
             else:
                 bits, db = 0, "n/a"
             print(f"{kind.value:<10}  {plane:>5}  {cap:>13}  {bits:>13}  {db:>8}")

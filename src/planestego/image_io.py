@@ -11,6 +11,12 @@ from dataclasses import dataclass
 _TOKEN = re.compile(rb"(?:\s+|#[^\r\n]*)*(\S*)")
 
 
+def as_bytes(buf) -> bytes:
+    """The bytes of a bytes-like object: every byte of its buffer."""
+    # not bytes(buf), which turns an int into that many zero bytes
+    return buf if isinstance(buf, bytes) else bytes(memoryview(buf))
+
+
 class PgmError(ValueError):
     """A PGM that cannot be decoded: a malformed header, a maxval other than
     255, or a raster shorter than width * height."""
@@ -33,9 +39,7 @@ class GrayImage:
         object.__setattr__(self, "height", operator.index(self.height))
         if self.width < 1 or self.height < 1:
             raise ValueError(f"dimensions must be >= 1, got {self.width}x{self.height}")
-        if not isinstance(self.pixels, bytes):
-            # not bytes(pixels), which turns an int into that many zero bytes
-            object.__setattr__(self, "pixels", bytes(memoryview(self.pixels)))
+        object.__setattr__(self, "pixels", as_bytes(self.pixels))
         if len(self.pixels) != self.width * self.height:
             raise ValueError(
                 f"expected {self.width * self.height} pixels, got {len(self.pixels)}"

@@ -14,10 +14,18 @@ PEAK = 255
 
 @dataclass(frozen=True)
 class DistortionReport:
-    """Mean squared error and the PSNR it implies (math.inf when equal)."""
+    """Mean squared error, and the PSNR it implies (math.inf when equal).
+
+    The one PSNR formula: `psnr` and `embed` both report through it.
+    """
 
     mse: float
-    psnr_db: float
+
+    @property
+    def psnr_db(self) -> float:
+        if self.mse == 0.0:
+            return math.inf
+        return 10.0 * math.log10(PEAK * PEAK / self.mse)
 
 
 # Elements per block of squared_error, whose int64 differences take 512 KiB
@@ -34,18 +42,6 @@ def squared_error(a: np.ndarray, b: np.ndarray) -> int:
     return total
 
 
-def distortion(sse: int, pixels: int) -> DistortionReport:
-    """MSE and PSNR from a sum of squared errors over `pixels` pixels.
-
-    The one PSNR formula: `psnr` and `embed` both report through it. The
-    sum is an exact integer, so the MSE is its correctly rounded quotient.
-    """
-    err = sse / pixels
-    if err == 0.0:
-        return DistortionReport(mse=0.0, psnr_db=math.inf)
-    return DistortionReport(mse=err, psnr_db=10.0 * math.log10(PEAK * PEAK / err))
-
-
 def psnr(a: GrayImage, b: GrayImage) -> DistortionReport:
     """Peak signal-to-noise ratio against a 255 peak."""
     if (a.width, a.height) != (b.width, b.height):
@@ -54,5 +50,6 @@ def psnr(a: GrayImage, b: GrayImage) -> DistortionReport:
         )
     pa = np.frombuffer(a.pixels, dtype=np.uint8)
     pb = np.frombuffer(b.pixels, dtype=np.uint8)
-    return distortion(squared_error(pa, pb), pa.size)
+    # the sum is an exact integer, so the MSE is its correctly rounded quotient
+    return DistortionReport(squared_error(pa, pb) / pa.size)
 

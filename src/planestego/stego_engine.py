@@ -54,8 +54,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import metrics
-from .image_io import GrayImage
+from .image_io import GrayImage, as_bytes
+from .metrics import DistortionReport
 from .number_systems import WeightScheme, WeightTable, build_weight_table
 
 IMAGE_DEPTH = 8
@@ -151,9 +151,8 @@ class StegoParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "plane", _check_plane(self.scheme, self.plane))
-        if self.key is not None and not isinstance(self.key, bytes):
-            # not bytes(key), which turns an int into that many zero bytes
-            object.__setattr__(self, "key", bytes(memoryview(self.key)))
+        if self.key is not None:
+            object.__setattr__(self, "key", as_bytes(self.key))
 
 
 @dataclass(frozen=True)
@@ -380,10 +379,8 @@ def pixel_order(width: int, height: int, key: bytes | None = None) -> np.ndarray
         order = np.arange(width * height, dtype=np.int64)
         order.flags.writeable = False
         return order
-    if not isinstance(key, bytes):
-        key = bytes(memoryview(key))
     with _order_lock:
-        return _cached_order(width * height, key)
+        return _cached_order(width * height, as_bytes(key))
 
 
 def _pair_table(emb: np.ndarray) -> np.ndarray:
@@ -446,6 +443,7 @@ def embed(
     cover: GrayImage, payload: bytes, params: StegoParams
 ) -> tuple[GrayImage, EmbedReport]:
     """Write the framed payload into the cover, one bit per embeddable pixel."""
+    payload = as_bytes(payload)
     required = HEADER_BITS + 8 * len(payload)
     if required > cover.width * cover.height:
         # cannot fit even if every pixel carried a bit: fail before framing
@@ -482,7 +480,7 @@ def embed(
         pixels_skipped=visited - int(bits.size),
         # a carrier that changes moves to its partner, exactly weight away,
         # and no other pixel changes
-        psnr_db=metrics.distortion(weight * weight * changed, stego_px.size).psnr_db,
+        psnr_db=DistortionReport(weight * weight * changed / stego_px.size).psnr_db,
     )
     return GrayImage(cover.width, cover.height, stego_px.tobytes()), report
 

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from planestego.image_io import GrayImage
-from planestego.metrics import DistortionReport, distortion, psnr, squared_error
+from planestego.metrics import DistortionReport, psnr, squared_error
 
 
 def flat(width, height, values):
@@ -39,7 +40,8 @@ class TestPsnr:
     def test_identical_is_infinite(self):
         img = flat(1, 1, [42])
         report = psnr(img, img)
-        assert report == DistortionReport(mse=0.0, psnr_db=math.inf)
+        assert report == DistortionReport(mse=0.0)
+        assert report.psnr_db == math.inf
 
     def test_uniform_difference_of_one(self):
         a = flat(4, 4, [10] * 16)
@@ -68,7 +70,8 @@ class TestPsnr:
         # 2048^2 pixels off by 255 sum to 2.7e11 squared units
         a = GrayImage(2048, 2048, bytes(2048 * 2048))
         b = GrayImage(2048, 2048, b"\xff" * (2048 * 2048))
-        assert psnr(a, b) == DistortionReport(mse=65025.0, psnr_db=0.0)
+        assert psnr(a, b) == DistortionReport(mse=65025.0)
+        assert psnr(a, b).psnr_db == 0.0
 
 
 class TestSquaredError:
@@ -88,7 +91,11 @@ class TestSquaredError:
 
 class TestDistortion:
     def test_zero_error_is_infinite(self):
-        assert distortion(0, 7) == DistortionReport(mse=0.0, psnr_db=math.inf)
+        assert DistortionReport(0 / 7).psnr_db == math.inf
+
+    def test_psnr_is_derived_from_the_mse(self):
+        assert [f.name for f in dataclasses.fields(DistortionReport)] == ["mse"]
+        assert DistortionReport(1.0).psnr_db == 10 * math.log10(255 * 255)
 
     def test_psnr_reports_through_it(self):
         rng = np.random.default_rng(17)
@@ -97,6 +104,6 @@ class TestDistortion:
             pb = rng.integers(0, 256, size, dtype=np.uint8)
             sse = sum((int(x) - int(y)) ** 2 for x, y in zip(pa, pb))
             a, b = GrayImage(size, 1, pa.tobytes()), GrayImage(size, 1, pb.tobytes())
-            assert psnr(a, b) == distortion(sse, size)
+            assert psnr(a, b) == DistortionReport(sse / size)
             assert psnr(a, b).mse == sse / size
 

@@ -1,3 +1,4 @@
+import array
 import os
 import sys
 import threading
@@ -191,6 +192,17 @@ class TestKeyedOrderWorkers:
         assert threading.active_count() == before
         monkeypatch.setattr(stego_engine, "_order_workers", lambda count: 1)
         assert np.array_equal(order, stego_engine._keyed_order(n, b"cpus"))
+
+    @pytest.mark.parametrize("cpus, want", [(None, 1), (1, 1), (3, 3), (64, 16)])
+    def test_workers_without_an_affinity_mask(self, cpus, want, monkeypatch):
+        # as on macOS and Windows: the CPU count, at most one per block
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        n = stego_engine._THREADED_MIN
+        assert n // BLOCK == 16
+        assert stego_engine._order_workers(n) == want
+        for smaller in (1, BLOCK, n - 1):
+            assert stego_engine._order_workers(smaller) == 1
 
     def test_small_order_starts_no_thread(self, monkeypatch):
         started = []
@@ -537,6 +549,31 @@ class TestEmbedExtract:
         stego_px = np.frombuffer(stego.pixels, dtype=np.uint8)
         changed = np.flatnonzero(cover_px != stego_px)
         assert np.isin(changed, carriers).all()
+
+    @pytest.mark.parametrize("key", [None, b"wide"], ids=["nokey", "keyed"])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            array.array("I", [7, 8]),
+            memoryview(np.arange(3, dtype=np.uint16)),
+            memoryview(bytes(range(6))).cast("B", (2, 3)),
+            np.arange(5, dtype=np.uint8),
+        ],
+        ids=["array-I", "uint16-view", "2d-view", "uint8-ndarray"],
+    )
+    def test_buffer_payload_is_its_bytes(self, payload, key):
+        # every byte of the buffer, not len() items of it
+        cover = random_cover(32, 32, seed=29)
+        params = params_for(SchemeKind.BINARY, key=key)
+        stego, report = embed(cover, payload, params)
+        assert report.bits_embedded == 32 + 8 * memoryview(payload).nbytes
+        assert extract(stego, params) == bytes(memoryview(payload))
+
+    @pytest.mark.parametrize("payload", [3, "p"])
+    def test_int_or_str_payload_raises_type_error(self, payload):
+        # bytes(3) would be the payload b"\0\0\0"
+        with pytest.raises(TypeError):
+            embed(random_cover(8, 8), payload, params_for(SchemeKind.BINARY))
 
     def test_empty_payload_header_only(self):
         cover = random_cover(16, 4, seed=3)
