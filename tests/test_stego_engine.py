@@ -413,12 +413,13 @@ class TestKeyedMemory:
     """Working memory of the keyed and row-major paths at 1024^2, in B/px.
 
     Each bound sits above what the code allocates: the cold order holds
-    16.1-16.8 B/px for any thread count (bound 18), a warm full-capacity
-    binary round trip, keyed or not, 4.0 B/px in embed (bound 5) and 2.2
-    in extract (bound 4), and capacity 0.50, a block's lookup (bound
-    0.75). Full-size position arrays, scan-round copies, an int64 copy of
-    an int32 index array, or in capacity any array of a byte per pixel,
-    break them.
+    16.6 B/px on one thread and 17.2 on two (bound 18), a warm
+    full-capacity binary round trip, keyed or not, 4.1 B/px in embed
+    (bound 5) and 2.3 in extract (bound 4), and capacity 0.19 in
+    Fibonacci plane 11, tested by value range, and 0.50 in prime plane 1,
+    which looks pixel pairs up (bound 0.75). Full-size position arrays,
+    scan-round copies, an int64 copy of an int32 index array, or in
+    capacity any array of a byte per pixel, break them.
     """
 
     @pytest.fixture(
@@ -451,6 +452,15 @@ class TestKeyedMemory:
     def test_capacity(self):
         cover = random_cover(MEMORY_SIDE, MEMORY_SIDE, seed=83)
         params = params_for(SchemeKind.FIBONACCI, plane=11)
+        capacity(cover, params)  # builds the plane's tables
+        assert traced_peak(capacity, cover, params) <= 0.75 * len(cover.pixels)
+
+    def test_capacity_many_runs(self):
+        # prime plane 1's embeddable values form about a hundred runs, so its
+        # scan looks pixel pairs up
+        cover = random_cover(MEMORY_SIDE, MEMORY_SIDE, seed=83)
+        params = params_for(SchemeKind.PRIME, plane=1)
+        assert stego_engine._value_runs(plane_luts(params.scheme, 1)[0]) is None
         capacity(cover, params)  # builds the plane's tables
         assert traced_peak(capacity, cover, params) <= 0.75 * len(cover.pixels)
 
@@ -738,6 +748,31 @@ FULL_SCAN_CASES = [
 ]
 
 
+# Embeddable values as inclusive runs (first, last), by test id: the edge
+# cases, then 1 to 6 runs, across the range scan's cutoff
+HAND_RUNS = {
+    (): "none",
+    ((0, 255),): "all",
+    ((0, 0),): "only-0",
+    ((255, 255),): "only-255",
+    ((0, 9), (250, 255)): "both-ends",
+    **{
+        tuple((j * 256 // r + 3, (j + 1) * 256 // r - 3 - j) for j in range(r)):
+        f"{r}-runs"
+        for r in range(1, 7)
+    },
+}
+
+# planes whose embeddable values form one or two runs: binary 0 and the
+# top plane of each other scheme
+RANGE_PLANES = [
+    (SchemeKind.BINARY, 0),
+    (SchemeKind.FIBONACCI, 11),
+    (SchemeKind.PRIME, 14),
+    (SchemeKind.NATURAL, 22),
+]
+
+
 class TestCarrierScan:
     """What `_carrier_blocks` yields, block by block, against the full order."""
 
@@ -761,6 +796,65 @@ class TestCarrierScan:
             assert np.array_equal(where(offsets), order[lo + offsets])
             masks.append(found)
         assert np.array_equal(np.concatenate(masks), emb[px[order]])
+
+    @pytest.mark.parametrize("runs", HAND_RUNS, ids=list(HAND_RUNS.values()))
+    def test_hand_made_tables(self, runs):
+        emb = np.zeros(256, dtype=bool)
+        for first, last in runs:
+            emb[first : last + 1] = True
+        ranged = stego_engine._value_runs(emb) is not None
+        assert ranged == (len(runs) <= stego_engine._RANGE_RUNS)
+        # every two-byte pair, then odd lengths, which only the pair path pads
+        pairs = np.stack(np.divmod(np.arange(1 << 16), 256), -1).astype(np.uint8)
+        rng = np.random.default_rng(len(runs))
+        odd = [rng.integers(0, 256, n, dtype=np.uint8) for n in (1, 257)]
+        for px in (pairs.ravel(), *odd):
+            row = GrayImage(px.size, 1, px.tobytes())
+            scan = stego_engine._carrier_blocks(row, None, emb)
+            found = np.concatenate([mask for _, mask, _, _ in scan])
+            assert found.dtype == bool and np.array_equal(found, emb[px])
+
+    @pytest.mark.parametrize("key", [None, b"ranges"], ids=["nokey", "keyed"])
+    @pytest.mark.parametrize(
+        "kind,plane", RANGE_PLANES, ids=lambda c: getattr(c, "value", c)
+    )
+    def test_range_planes_build_no_pair_table(self, kind, plane, key, monkeypatch):
+        def refuse(emb):
+            raise AssertionError("pair table built for a plane of few runs")
+
+        monkeypatch.setattr(stego_engine, "_pair_table", refuse)
+        cover = random_cover(300, 300, seed=plane)
+        params = params_for(kind, plane=plane, key=key)
+        emb, _, _ = plane_luts(params.scheme, plane)
+        bits = capacity(cover, params)
+        assert bits == np.count_nonzero(emb[np.frombuffer(cover.pixels, np.uint8)])
+        payload = np.random.default_rng(plane).bytes(bits // 8 - 4)
+        stego, report = embed(cover, payload, params)
+        assert (stego, report) == embed_reference(cover, payload, params)
+        assert extract(stego, params) == payload
+
+    @pytest.mark.parametrize("key", [None, b"pairs"], ids=["nokey", "keyed"])
+    @pytest.mark.parametrize(
+        "kind,plane", [(SchemeKind.PRIME, 1), (SchemeKind.NATURAL, 0)],
+        ids=lambda c: getattr(c, "value", c),
+    )
+    def test_pair_table_built_once_per_scan(self, kind, plane, key, monkeypatch):
+        built = []
+        table = stego_engine._pair_table
+
+        def counted(emb):
+            built.append(emb)
+            return table(emb)
+
+        monkeypatch.setattr(stego_engine, "_pair_table", counted)
+        cover = random_cover(300, 300, seed=plane)
+        params = params_for(kind, plane=plane, key=key)
+        payload = np.random.default_rng(plane).bytes(capacity(cover, params) // 8 - 4)
+        assert len(built) == 1
+        stego, _ = embed(cover, payload, params)
+        assert len(built) == 2
+        assert extract(stego, params) == payload
+        assert len(built) == 3
 
 
 class TestMatchesFullScan:
