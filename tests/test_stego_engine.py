@@ -1,4 +1,5 @@
 import array
+import hashlib
 import os
 import sys
 import threading
@@ -153,6 +154,17 @@ class TestKeyedOrderMatchesReference:
     @settings(max_examples=150, deadline=None)
     def test_property(self, w, h, key):
         assert pixel_order(w, h, key).tolist() == fisher_yates_reference(w * h, key)
+
+    @pytest.mark.parametrize("workers", [None, 1, 2, 4], ids=["cpus", "1", "2", "4"])
+    def test_threaded_size_digest(self, workers, monkeypatch):
+        # 2^20 steps take the multi-block, multi-worker stages that the
+        # golden vectors' 64^2 images never reach
+        if workers is not None:
+            monkeypatch.setattr(stego_engine, "_order_workers", lambda count: workers)
+        order = stego_engine._keyed_order(2**20, b"golden")
+        assert hashlib.sha256(order.astype("<i8").tobytes()).hexdigest() == (
+            "89c966d0acf6c4e8cb4df4d316e1b190fd3b3362083446a5426dbfa13122a7b7"
+        )
 
     def test_order_is_int64_and_read_only(self):
         order = pixel_order(9, 9, b"k")
