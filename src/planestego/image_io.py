@@ -65,11 +65,12 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
 
 
 def read_pgm(data: bytes) -> GrayImage:
-    """Decode a binary PGM byte stream.
+    """Decode a binary PGM from a bytes-like object, as `as_bytes` reads it.
 
     The header is read liberally (any whitespace, '#' comments); exactly one
     whitespace byte separates the maxval from the raster.
     """
+    data = as_bytes(data)
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
         raise PgmError(f"bad magic: {magic!r} (expected P5)")

@@ -13,19 +13,14 @@ otherwise. Skipped pixels and pixels after the final payload bit stay
 byte-identical to the cover, so extraction only needs the same parameters.
 One scan, `_carrier_blocks`, reads the pixels for every caller. It walks
 the traversal in blocks of 2^16 positions and yields each block's pixels
-and carrier mask. The mask's test is chosen per scan from the plane's emb.
-Where the embeddable values form at most four runs of consecutive values,
-as in every binary plane and the sparse top planes of the others, a pixel
-is tested against each run's value range, which costs less than a lookup
-for up to four runs. Elsewhere it is looked up two pixels at a time: the
-block's bytes, read as uint16, index a 65536-entry table of the plane's
-emb for both bytes, built per scan in a few microseconds. `capacity`
-counts the masks; `embed` and `extract` gather each block's carriers and
-stop in the block that holds the last frame bit, so once the order is
-built, their cost grows with the payload, not the image. `extract` reads
-the header and then the frame it declares in that one pass; `embed`
-writes only the carriers whose value changes and counts them: each moves
-by exactly the plane's weight, so its PSNR comes from that count alone.
+and carrier mask; its docstring says which planes it tests by value range
+and which through a table of pixel pairs. `capacity` counts the masks;
+`embed` and `extract` gather each block's carriers and stop in the block
+that holds the last frame bit, so once the order is built, their cost
+grows with the payload, not the image. `extract` reads the header and
+then the frame it declares in that one pass; `embed` writes only the
+carriers whose value changes and counts them: each moves by exactly the
+plane's weight, so its PSNR comes from that count alone.
 No array of all carriers' positions is built: a warm full-capacity round
 trip in binary plane 0, keyed or not, allocates about 4.1 bytes per pixel
 in `embed` (the stego copy, the frame's bits and the output bytes) and
@@ -39,12 +34,12 @@ not run step by step: `_keyed_order` derives the same permutation in numpy
 by sorting the steps by swap target and resolving the resulting pointer
 chains a block at a time from the top down, running its element-wise
 stages on every CPU the process may use; ROADMAP.md's Baseline gives its
-build time on a named host. The build holds about 16 bytes per step at its
-peak, the sorted uint64 keys beside the int64 order: ru_maxrss grows by
-about 71 MB at 2048^2 and 263 MB at 4096^2. A keyed order has at most 2^32
-steps, so that a step and its swap target each fit one uint32 half of a
-key. Only the last keyed order is kept, and concurrent callers build a
-cold one once.
+build time on a named host. Whatever the number of threads, the build
+holds about 16 bytes per step at its peak, the sorted uint64 keys beside
+the int64 order: ru_maxrss grows by about 71 MB at 2048^2 and 263 MB at
+4096^2. A keyed order has at most 2^32 steps, so that a step and its swap
+target each fit one uint32 half of a key. Only the last keyed order is
+kept, and concurrent callers build a cold one once.
 """
 
 from __future__ import annotations
@@ -350,10 +345,12 @@ def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
     del a, same
     order = np.empty(count, dtype=np.int64)
 
-    # step is a permutation, so the blocks write disjoint positions
+    # step is a permutation, so the blocks write disjoint positions; each
+    # casts its steps to intp 2^12 at a time, 32 KiB per worker
     def scatter(lo: int) -> None:
-        hi = lo + _ORDER_BLOCK
-        order[step[lo:hi].astype(np.intp)] = target[lo:hi]
+        for sub in range(lo, min(count, lo + _ORDER_BLOCK), 1 << 12):
+            hi = sub + (1 << 12)
+            order[step[sub:hi].astype(np.intp)] = target[sub:hi]
 
     each_block(scatter)
     return order
@@ -400,9 +397,7 @@ def _pair_table(emb: np.ndarray) -> np.ndarray:
     order. That holds in either byte order, so a uint16 view of pixel bytes
     indexes it directly. It takes about 6 us to build and is not cached:
     a table for each of the 58 planes `analyze` sweeps would hold 58 times
-    its 128 KiB. The scan builds it only for a plane whose embeddable
-    values form more than _RANGE_RUNS runs, as in the low planes of every
-    scheme but binary.
+    its 128 KiB. `_carrier_blocks` says which planes build it.
     """
     e = emb.view(np.uint8).astype(np.uint16)
     return ((e[:, None] << 8) | e).ravel()
@@ -410,23 +405,15 @@ def _pair_table(emb: np.ndarray) -> np.ndarray:
 
 def _value_runs(emb: np.ndarray) -> list[tuple[np.uint8, np.uint8]] | None:
     """(start, span) of each run start..start + span of embeddable values,
-    or None when there are more than _RANGE_RUNS runs.
-
-    The runs are counted before any is built: a low plane has up to about
-    a hundred, and building them all would cost more than the scan saves.
-    """
-    e = emb.view(np.int8)
-    # each run has two edges, and a run at either end has one outside e; the
-    # ends as Python ints: where count_nonzero returns a Python int, numpy 2
-    # would add it to an int8 scalar as an int8, which overflows
-    edges = np.count_nonzero(e[1:] != e[:-1]) + int(e[0]) + int(e[-1])
-    if edges > 2 * _RANGE_RUNS:
+    or None when there are more than _RANGE_RUNS runs."""
+    padded = np.concatenate(([False], emb, [False]))
+    bounds = np.flatnonzero(padded[1:] != padded[:-1])
+    if bounds.size > 2 * _RANGE_RUNS:
         return None
-    bounds = np.flatnonzero(np.diff(emb, prepend=False, append=False)).tolist()
     # Python ints first: a uint8 scalar difference that wraps warns
     return [
         (np.uint8(start), np.uint8(end - 1 - start))
-        for start, end in zip(bounds[::2], bounds[1::2])
+        for start, end in bounds.reshape(-1, 2).tolist()
     ]
 
 
@@ -435,10 +422,9 @@ def capacity(image: GrayImage, params: StegoParams) -> int:
 
     Counts the masks of the row-major scan a block at a time, so its
     working memory does not grow with the image; the key does not change it.
-    A plane whose embeddable values form at most _RANGE_RUNS runs, as in
-    every binary plane and the top planes of the others, is tested by value
-    range; any other also builds the 128 KiB pair table, which raises the
-    call's peak allocation at 1024^2 from about 0.2 to 0.5 B/px.
+    A plane that `_carrier_blocks` tests through the 128 KiB pair table
+    peaks at about 0.5 B/px at 1024^2, and one it tests by value range at
+    about 0.2.
     """
     emb, _, _ = plane_luts(params.scheme, params.plane)
     return sum(
@@ -460,11 +446,13 @@ def _carrier_blocks(image: GrayImage, key: bytes | None, emb: np.ndarray):
     so no index array is built, or reading the block's view of the order.
 
     The carrier test is chosen once per scan from `emb`. When its
-    embeddable values form at most _RANGE_RUNS runs, as in the sparse top
-    planes, a pixel carries iff (pixel - start) <= span in wrapping uint8
-    arithmetic for one of the runs, a few element-wise passes per block.
-    Otherwise the mask is looked up two pixels at a time in the plane's
-    pair table, built once per scan; an odd-length block is padded with one
+    embeddable values form at most _RANGE_RUNS runs of consecutive values,
+    as in every binary plane and the sparse top planes of the others, a
+    pixel carries iff (pixel - start) <= span in wrapping uint8 arithmetic
+    for one of the runs, a few element-wise passes per block that cost less
+    than a lookup. Otherwise, as in the low planes of every scheme but
+    binary, the mask is looked up two pixels at a time in the plane's pair
+    table, built once per scan; an odd-length block is padded with one
     byte, whose result is dropped.
     """
     px = np.frombuffer(image.pixels, dtype=np.uint8)

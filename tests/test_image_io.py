@@ -73,6 +73,17 @@ class TestReadPgm:
         with pytest.raises(PgmError, match="missing whitespace before raster"):
             read_pgm(b"P5\n2 1\n255")
 
+    def test_buffers_decode_as_bytes(self):
+        data = b"P5\n# note\n3 2\n255\n\x00\x01\x02\x03\x04\x05"
+        want = read_pgm(data)
+        for buf in (memoryview(data), bytearray(data), np.frombuffer(data, np.uint8)):
+            assert read_pgm(buf) == want
+
+    @pytest.mark.parametrize("data", [3, "P5\n1 1\n255\n\0"])
+    def test_int_or_str_raise_type_error(self, data):
+        with pytest.raises(TypeError):
+            read_pgm(data)
+
     def test_trailing_bytes_ignored(self):
         img = read_pgm(b"P5\n1 1\n255\n\x07extra")
         assert img.pixels == b"\x07"

@@ -425,7 +425,7 @@ class TestKeyedMemory:
     """Working memory of the keyed and row-major paths at 1024^2, in B/px.
 
     Each bound sits above what the code allocates: the cold order holds
-    16.6 B/px on one thread and 17.2 on two (bound 18), a warm
+    under 17 B/px on any number of threads (bound 18), a warm
     full-capacity binary round trip, keyed or not, 4.1 B/px in embed
     (bound 5) and 2.3 in extract (bound 4), and capacity 0.19 in
     Fibonacci plane 11, tested by value range, and 0.50 in prime plane 1,
@@ -447,6 +447,15 @@ class TestKeyedMemory:
         return cover, payload, params, stego
 
     def test_cold_order(self):
+        n = MEMORY_SIDE * MEMORY_SIDE
+        assert traced_peak(stego_engine._keyed_order, n, b"memory") <= 18 * n
+
+    @pytest.mark.parametrize("workers", [4, 8])
+    def test_cold_order_forced_workers(self, workers, monkeypatch):
+        monkeypatch.setattr(stego_engine, "_order_workers", lambda count: workers)
+        # imported first, so that the peak counts the order, not the module
+        import concurrent.futures  # noqa: F401
+
         n = MEMORY_SIDE * MEMORY_SIDE
         assert traced_peak(stego_engine._keyed_order, n, b"memory") <= 18 * n
 
