@@ -13,7 +13,6 @@ from .stego_engine import (
     CapacityError,
     EmbedReport,
     StegoParams,
-    TruncationError,
     capacity,
     embed,
     extract,
@@ -32,7 +31,6 @@ __all__ = [
     "PgmError",
     "SchemeKind",
     "StegoParams",
-    "TruncationError",
     "WeightScheme",
     "WeightTable",
     "build_map",

@@ -1,7 +1,7 @@
 """Command-line interface: embed, extract, capacity, planes, analyze.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or image format error,
-3 capacity or truncation error.
+3 capacity error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .stego_engine import (
     HEADER_BITS,
     CapacityError,
     StegoParams,
-    TruncationError,
     capacity,
     embed,
     extract,
@@ -207,7 +206,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (PgmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapacityError, TruncationError) as exc:
+    except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -71,19 +71,17 @@ _CACHE_ENTRIES = 64
 
 
 class CapacityError(Exception):
-    """Payload needs more embeddable pixels than the image offers."""
+    """A frame needs more carriers than the image has: `embed`'s, or the one
+    whose header `extract` reads (HEADER_BITS when no header fits)."""
 
     def __init__(self, required_bits: int, available_bits: int):
         self.required_bits = required_bits
         self.available_bits = available_bits
         super().__init__(
-            f"payload needs {required_bits} bits but only "
-            f"{available_bits} embeddable bits are available"
+            f"payload of {(required_bits - HEADER_BITS) // 8} bytes needs "
+            f"{required_bits} bits but only {available_bits} embeddable bits "
+            "are available"
         )
-
-
-class TruncationError(Exception):
-    """The stego image ran out of embeddable pixels during extraction."""
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
@@ -122,7 +120,9 @@ def plane_luts(
     v' = v -/+ w (minus when the digit is set) is in range and digits[v'] is
     digits[v] with that one digit flipped. embed_to[bit, v] is the value
     holding that bit: v itself or its partner, so it moves by at most w.
-    Non-embeddable values map to themselves.
+    Non-embeddable values map to themselves. emb[0] holds in every plane:
+    each weight w is at most 255, and w's canonical string is w's digit
+    alone, the greatest string that sums to w.
     """
     plane = _check_plane(scheme, plane)
     table = table_for(scheme)
@@ -467,7 +467,8 @@ def _carrier_blocks(image: GrayImage, key: bytes | None, emb: np.ndarray):
             # take, not []: a full 2048^2 keyed gather takes 15 against 23 ms
             chunk, where = px.take(pos), pos.take
         if pairs is None:
-            # the first run's test is the mask; no run, no carrier
+            # the first run's test is the mask; no run, no carrier, which
+            # only a hand-made emb gives: table_for planes all carry 0
             found = None if runs else np.zeros(chunk.size, dtype=bool)
             for start, span in runs:
                 inside = np.subtract(chunk, start)
@@ -547,13 +548,7 @@ def extract(stego: GrayImage, params: StegoParams) -> bytes:
                 break
         if end is not None and have >= end:
             break
-    if end is None:
-        raise TruncationError(
-            f"image offers {have} embeddable bits, header needs {HEADER_BITS}"
-        )
+    end = HEADER_BITS if end is None else end
     if have < end:
-        raise TruncationError(
-            f"header declares {(end - HEADER_BITS) // 8} bytes but only "
-            f"{have - HEADER_BITS} payload bits are available"
-        )
+        raise CapacityError(required_bits=end, available_bits=have)
     return np.packbits(np.concatenate(parts)[HEADER_BITS:end]).tobytes()

@@ -206,14 +206,9 @@ def extract_reference(stego, params) -> bytes:
     px = np.frombuffer(stego.pixels, dtype=np.uint8)
     slots = np.flatnonzero(emb[px[order]])
     if slots.size < 32:
-        raise se.TruncationError(
-            f"image offers {slots.size} embeddable bits, header needs 32"
-        )
+        raise se.CapacityError(required_bits=32, available_bits=slots.size)
     header = digit[px[order[slots[:32]]]]
     end = 32 + 8 * int.from_bytes(np.packbits(header).tobytes(), "big")
     if slots.size < end:
-        raise se.TruncationError(
-            f"header declares {(end - 32) // 8} bytes but only "
-            f"{slots.size - 32} payload bits are available"
-        )
+        raise se.CapacityError(required_bits=end, available_bits=slots.size)
     return np.packbits(digit[px[order[slots[32:end]]]]).tobytes()

@@ -18,7 +18,7 @@ PUBLIC_NAMES = {
     "DistortionReport", "EmbedReport", "GrayImage", "SchemeKind", "StegoParams",
     "WeightScheme", "WeightTable",
     # exceptions
-    "CapacityError", "PgmError", "TruncationError",
+    "CapacityError", "PgmError",
     # functions
     "build_map", "build_weight_table", "capacity", "embed", "extract",
     "pixel_order", "plane_luts", "psnr", "read_pgm", "table_for", "write_pgm",
@@ -26,7 +26,7 @@ PUBLIC_NAMES = {
 
 
 def test_exports_are_exactly_the_public_names():
-    assert len(planestego.__all__) == len(PUBLIC_NAMES) == 21
+    assert len(planestego.__all__) == len(PUBLIC_NAMES) == 20
     assert set(planestego.__all__) == PUBLIC_NAMES
     for name in planestego.__all__:
         assert getattr(planestego, name) is not None, name

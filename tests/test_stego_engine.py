@@ -25,7 +25,6 @@ from planestego.number_systems import SchemeKind, WeightScheme
 from planestego.stego_engine import (
     CapacityError,
     StegoParams,
-    TruncationError,
     capacity,
     embed,
     extract,
@@ -285,6 +284,20 @@ class TestCapacity:
     def test_zero_image_natural_plane0(self):
         img = GrayImage(7, 5, bytes(35))
         assert capacity(img, params_for(SchemeKind.NATURAL)) == 35
+
+    def test_zero_cover_fills_every_plane(self):
+        # value 0 carries a bit in every plane (see plane_luts), so no
+        # table_for plane has an empty run list
+        img = GrayImage(7, 5, bytes(35))
+        schemes = [WeightScheme(kind) for kind in ALL_KINDS] + [
+            WeightScheme(SchemeKind.FIBONACCI, p=p) for p in (2, 3, 5, 2**40)
+        ]
+        planes = [(s, plane) for s in schemes for plane in range(table_for(s).n)]
+        assert len(planes) == 365
+        for scheme, plane in planes:
+            assert capacity(img, StegoParams(scheme, plane)) == 35, (scheme, plane)
+            emb, _, _ = plane_luts(scheme, plane)
+            assert stego_engine._value_runs(emb) != []
 
     def test_key_does_not_change_capacity(self):
         cover = random_cover(32, 32)
@@ -690,13 +703,17 @@ class TestEmbedExtract:
         )
         px[:32] |= length_bits
         img = GrayImage(10, 10, px.tobytes())
-        with pytest.raises(TruncationError):
-            extract(img, params_for(SchemeKind.BINARY))
+        params = params_for(SchemeKind.BINARY)
+        with pytest.raises(CapacityError) as exc:
+            extract(img, params)
+        assert exc.value.required_bits == 32 + 8 * 65536
+        assert exc.value.available_bits == capacity(img, params)
 
     def test_extract_tiny_image_truncation(self):
         img = GrayImage(4, 4, bytes(16))
-        with pytest.raises(TruncationError):
+        with pytest.raises(CapacityError) as exc:
             extract(img, params_for(SchemeKind.BINARY))
+        assert (exc.value.required_bits, exc.value.available_bits) == (32, 16)
 
     def test_wrong_key_fails_or_garbles(self):
         cover = random_cover(seed=47)
@@ -704,7 +721,7 @@ class TestEmbedExtract:
         stego, _ = embed(cover, payload, params_for(SchemeKind.BINARY, key=b"right"))
         try:
             recovered = extract(stego, params_for(SchemeKind.BINARY, key=b"wrong"))
-        except TruncationError:
+        except CapacityError:
             return
         assert recovered != payload
 
@@ -725,7 +742,7 @@ def outcome(fn, *args):
     """fn's result, or the type, message and bit counts of what it raised."""
     try:
         return fn(*args)
-    except (CapacityError, TruncationError) as exc:
+    except CapacityError as exc:
         return type(exc), str(exc), vars(exc)
 
 
@@ -927,7 +944,7 @@ class TestMatchesFullScan:
         cover = split_header_cover(start, 25)
         params = params_for(SchemeKind.NATURAL)
         got = outcome(extract, cover, params)
-        assert got[0] is TruncationError
+        assert got[0] is CapacityError
         assert got == outcome(extract_reference, cover, params)
 
     def test_oversized_header_fails_after_one_block(self, monkeypatch):
@@ -949,7 +966,7 @@ class TestMatchesFullScan:
 
         monkeypatch.setattr(stego_engine, "_carrier_blocks", counted)
         got = outcome(extract, stego, params)
-        assert got[0] is TruncationError
+        assert got[0] is CapacityError
         assert got == outcome(extract_reference, stego, params)
         assert blocks == [0]
 
@@ -959,7 +976,7 @@ class TestMatchesFullScan:
         px[:32] |= np.unpackbits(np.frombuffer((65536).to_bytes(4, "big"), np.uint8))
         for img in (GrayImage(4, 4, bytes(16)), GrayImage(px.size, 1, px.tobytes())):
             got = outcome(extract, img, params)
-            assert got[0] is TruncationError
+            assert got[0] is CapacityError
             assert got == outcome(extract_reference, img, params)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
