@@ -11,20 +11,9 @@ key-derived permutation when a stego-key is supplied; each visited pixel
 carries one bit if its chosen plane digit is embeddable, and is skipped
 otherwise. Skipped pixels and pixels after the final payload bit stay
 byte-identical to the cover, so extraction only needs the same parameters.
-One scan, `_carrier_blocks`, reads the pixels for every caller. It walks
-the traversal in blocks of 2^16 positions and yields each block's pixels
-and carrier mask; its docstring says which planes it tests by value range
-and which through a table of pixel pairs. `capacity` counts the masks;
-`embed` and `extract` gather each block's carriers and stop in the block
-that holds the last frame bit, so once the order is built, their cost
-grows with the payload, not the image. `extract` reads the header and
-then the frame it declares in that one pass; `embed` writes only the
-carriers whose value changes and counts them: each moves by exactly the
-plane's weight, so its PSNR comes from that count alone.
-No array of all carriers' positions is built: a warm full-capacity round
-trip in binary plane 0, keyed or not, allocates about 4.1 bytes per pixel
-in `embed` (the stego copy, the frame's bits and the output bytes) and
-2.3 in `extract` (tracemalloc peaks at 1024^2).
+One scan, `_carrier_blocks`, reads the pixels for every caller; `embed`
+and `extract` stop where the frame ends, so once the order is built,
+their cost grows with the payload, not the image.
 
 The keyed traversal is fixed exactly, since both sides must reproduce it:
 seed = first 8 bytes of SHA-256(key) read big-endian, a SplitMix64 stream
@@ -33,13 +22,10 @@ step i is the next SplitMix64 value reduced modulo i + 1. The shuffle is
 not run step by step: `_keyed_order` derives the same permutation in numpy
 by sorting the steps by swap target and resolving the resulting pointer
 chains a block at a time from the top down, running its element-wise
-stages on every CPU the process may use; ROADMAP.md's Baseline gives its
-build time on a named host. Whatever the number of threads, the build
-holds about 16 bytes per step at its peak, the sorted uint64 keys beside
-the int64 order: ru_maxrss grows by about 71 MB at 2048^2 and 263 MB at
-4096^2. A keyed order has at most 2^32 steps, so that a step and its swap
-target each fit one uint32 half of a key. Only the last keyed order is
-kept, and concurrent callers build a cold one once.
+stages on every CPU the process may use. A keyed order has at most 2^32
+steps, so that a step and its swap target each fit one uint32 half of a
+key. Only the last keyed order is kept, and concurrent callers build a
+cold one once.
 """
 
 from __future__ import annotations
@@ -77,10 +63,12 @@ class CapacityError(Exception):
     def __init__(self, required_bits: int, available_bits: int):
         self.required_bits = required_bits
         self.available_bits = available_bits
+        # the header alone is embed's empty payload, or a header never read
+        payload = f"payload of {(required_bits - HEADER_BITS) // 8} bytes"
+        what = "the frame header" if required_bits == HEADER_BITS else payload
         super().__init__(
-            f"payload of {(required_bits - HEADER_BITS) // 8} bytes needs "
-            f"{required_bits} bits but only {available_bits} embeddable bits "
-            "are available"
+            f"{what} needs {required_bits} bits but only {available_bits} "
+            "embeddable bits are available"
         )
 
 
@@ -422,9 +410,6 @@ def capacity(image: GrayImage, params: StegoParams) -> int:
 
     Counts the masks of the row-major scan a block at a time, so its
     working memory does not grow with the image; the key does not change it.
-    A plane that `_carrier_blocks` tests through the 128 KiB pair table
-    peaks at about 0.5 B/px at 1024^2, and one it tests by value range at
-    about 0.2.
     """
     emb, _, _ = plane_luts(params.scheme, params.plane)
     return sum(
@@ -483,15 +468,21 @@ def _carrier_blocks(image: GrayImage, key: bytes | None, emb: np.ndarray):
         yield lo, found, chunk, where
 
 
+def _check_fits(image: GrayImage, params: StegoParams, frame_bits: int) -> None:
+    """CapacityError if the frame has more bits than the image has pixels:
+    it cannot fit even if every pixel carried a bit, so it fails before
+    framing or a further scan. Every traversal visits the same carriers,
+    so the row-major count is the available one."""
+    if frame_bits > image.width * image.height:
+        raise CapacityError(frame_bits, capacity(image, params))
+
+
 def embed(
     cover: GrayImage, payload: bytes, params: StegoParams
 ) -> tuple[GrayImage, EmbedReport]:
     """Write the framed payload into the cover, one bit per embeddable pixel."""
     payload = as_bytes(payload)
-    required = HEADER_BITS + 8 * len(payload)
-    if required > cover.width * cover.height:
-        # cannot fit even if every pixel carried a bit: fail before framing
-        raise CapacityError(required, capacity(cover, params))
+    _check_fits(cover, params, HEADER_BITS + 8 * len(payload))
     bits = frame(payload)
     emb, _, embed_to = plane_luts(params.scheme, params.plane)
     weight = table_for(params.scheme).weights[params.plane]
@@ -541,14 +532,11 @@ def extract(stego: GrayImage, params: StegoParams) -> bytes:
         have += values.size
         if end is None and have >= HEADER_BITS:
             end = _frame_end(np.concatenate(parts))
-            if end > len(stego.pixels):
-                # more bits than pixels cannot fit; every traversal visits
-                # the same carriers, so count them without scanning the rest
-                have = capacity(stego, params)
-                break
+            _check_fits(stego, params, end)
         if end is not None and have >= end:
             break
     end = HEADER_BITS if end is None else end
     if have < end:
+        # the scan ran to the end, so it found every embeddable pixel
         raise CapacityError(required_bits=end, available_bits=have)
     return np.packbits(np.concatenate(parts)[HEADER_BITS:end]).tobytes()

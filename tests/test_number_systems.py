@@ -157,6 +157,26 @@ class TestWeightTables:
             table = build_weight_table(scheme, 8)
             assert WeightTable(scheme, 8, table.weights) == table
 
+    @pytest.mark.parametrize("k", [0, 17])
+    def test_table_bit_depth_out_of_range(self, k):
+        with pytest.raises(ValueError, match="bit depth must be in"):
+            WeightTable(BINARY, k, (1,))
+
+    @pytest.mark.parametrize(
+        "weights,message",
+        [((0, 1, 2), "weights must be positive"), ((2, 1), "strictly ascending")],
+        ids=["zero", "descending"],
+    )
+    def test_table_rejects_bad_weights(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            WeightTable(NATURAL, 2, weights)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=scheme_id)
+    def test_no_weights_requested(self, scheme):
+        # without the check, prime would still give its leading 1
+        with pytest.raises(ValueError, match="need at least one weight"):
+            generate_weights(scheme, 0)
+
     def test_digits_do_not_affect_equality(self):
         a, b = build_weight_table(PRIME, 8), build_weight_table(PRIME, 8)
         assert a.digits is not b.digits
@@ -172,6 +192,10 @@ class TestWeightScheme:
     def test_p_normalized_for_non_fibonacci(self):
         assert WeightScheme(SchemeKind.PRIME, p=7).p == 1
         assert WeightScheme(SchemeKind.FIBONACCI, p=2).p == 2
+
+    def test_kind_must_be_a_scheme_kind(self):
+        with pytest.raises(ValueError, match="unknown scheme kind"):
+            WeightScheme("binary")
 
     def test_bad_p(self):
         with pytest.raises(ValueError):

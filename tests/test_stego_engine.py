@@ -5,7 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -71,6 +71,17 @@ class TestFrame:
         bits = frame(payload)
         assert stego_engine._frame_end(bits) == bits.size == 32 + 8 * len(payload)
         assert np.packbits(bits[32:]).tobytes() == payload
+
+    def test_over_2_32_bytes_raises_before_allocating(self):
+        class Huge(bytes):
+            def __len__(self):
+                return 2**32
+
+        def call():
+            with pytest.raises(ValueError, match=r"exceeds 2\^32 - 1"):
+                frame(Huge())
+
+        assert traced_peak(call) < 1 << 16
 
 
 class TestPixelOrder:
@@ -714,6 +725,19 @@ class TestEmbedExtract:
         with pytest.raises(CapacityError) as exc:
             extract(img, params_for(SchemeKind.BINARY))
         assert (exc.value.required_bits, exc.value.available_bits) == (32, 16)
+
+    def test_header_only_frame_message(self):
+        # 16 carriers hold neither extract's header nor embed's empty frame
+        cover = GrayImage(4, 4, bytes(16))
+        params = params_for(SchemeKind.BINARY)
+        for call in (partial(extract, cover, params), partial(embed, cover, b"", params)):
+            with pytest.raises(CapacityError) as exc:
+                call()
+            assert (exc.value.required_bits, exc.value.available_bits) == (32, 16)
+            assert str(exc.value) == (
+                "the frame header needs 32 bits but only 16 embeddable bits "
+                "are available"
+            )
 
     def test_wrong_key_fails_or_garbles(self):
         cover = random_cover(seed=47)
