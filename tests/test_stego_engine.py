@@ -730,7 +730,8 @@ class TestEmbedExtract:
         # 16 carriers hold neither extract's header nor embed's empty frame
         cover = GrayImage(4, 4, bytes(16))
         params = params_for(SchemeKind.BINARY)
-        for call in (partial(extract, cover, params), partial(embed, cover, b"", params)):
+        calls = partial(extract, cover, params), partial(embed, cover, b"", params)
+        for call in calls:
             with pytest.raises(CapacityError) as exc:
                 call()
             assert (exc.value.required_bits, exc.value.available_bits) == (32, 16)
