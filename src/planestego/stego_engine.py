@@ -12,8 +12,8 @@ carries one bit if its chosen plane digit is embeddable, and is skipped
 otherwise. Skipped pixels and pixels after the final payload bit stay
 byte-identical to the cover, so extraction only needs the same parameters.
 One scan, `_carrier_blocks`, reads the pixels for every caller; `embed`
-and `extract` stop where the frame ends, so once the order is built,
-their cost grows with the payload, not the image.
+and `extract` stop where the frame ends, so once the order is built, the
+scan's cost grows with the payload; `embed` also copies the whole cover.
 
 The keyed traversal is fixed exactly, since both sides must reproduce it:
 seed = first 8 bytes of SHA-256(key) read big-endian, a SplitMix64 stream
@@ -24,8 +24,8 @@ by sorting the steps by swap target and resolving the resulting pointer
 chains a block at a time from the top down, running its element-wise
 stages on every CPU the process may use. A keyed order has at most 2^32
 steps, so that a step and its swap target each fit one uint32 half of a
-key. Only the last keyed order is kept, and concurrent callers build a
-cold one once.
+key. Only the last keyed order is kept, dropped before another is built,
+and concurrent callers build a cold one once.
 """
 
 from __future__ import annotations
@@ -344,26 +344,18 @@ def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
     return order
 
 
-# Held around _cached_order: lru_cache does not lock while it builds, so
-# concurrent callers would each build the same cold order.
+# The last keyed order, by (pixel count, key); read and written only under
+# the lock, so that concurrent callers build a cold one once.
 _order_lock = threading.Lock()
-
-
-@lru_cache(maxsize=1)
-def _cached_order(count: int, key: bytes) -> np.ndarray:
-    """Read-only keyed order; the last one built is kept."""
-    order = _keyed_order(count, key)
-    order.flags.writeable = False
-    return order
+_orders: dict[tuple[int, bytes], np.ndarray] = {}
 
 
 def pixel_order(width: int, height: int, key: bytes | None = None) -> np.ndarray:
     """Pixel visiting order: row-major, or a key-seeded permutation.
 
-    Returns a read-only int64 array. The last keyed order is cached, so
-    keyed calls with the same pixel count and key share one copy until a
-    call with another key or count replaces it, and concurrent calls build
-    it once; the row-major order is cheap to make and is not cached.
+    Returns a read-only int64 array. Only the last keyed order is cached,
+    and dropped before a call with another pixel count or key builds its
+    own; concurrent calls build a cold one once. Row-major is not cached.
     Dimensions that are not integers raise TypeError, and a keyed order of
     more than 2^32 pixels raises ValueError before any work.
     """
@@ -374,8 +366,15 @@ def pixel_order(width: int, height: int, key: bytes | None = None) -> np.ndarray
         order = np.arange(width * height, dtype=np.int64)
         order.flags.writeable = False
         return order
+    index = width * height, as_bytes(key)
     with _order_lock:
-        return _cached_order(width * height, as_bytes(key))
+        order = _orders.get(index)
+        if order is None:
+            _orders.clear()
+            order = _keyed_order(*index)
+            order.flags.writeable = False
+            _orders[index] = order
+        return order
 
 
 def _pair_table(emb: np.ndarray) -> np.ndarray:

@@ -122,7 +122,7 @@ class TestPixelOrder:
         "dims", [(2.0, 2), (2, 2.0), (2.5, 2), (2, "2")], ids=lambda d: "%rx%r" % d
     )
     def test_non_integer_dimensions_raise_type_error(self, dims, cached, key):
-        stego_engine._cached_order.cache_clear()
+        stego_engine._orders.clear()
         if cached:
             pixel_order(2, 2, key)
         with pytest.raises(TypeError):
@@ -321,8 +321,8 @@ class TestCapacity:
 @pytest.fixture
 def cold_order_cache():
     """An empty keyed-order cache for one test."""
-    stego_engine._cached_order.cache_clear()
-    return stego_engine._cached_order
+    stego_engine._orders.clear()
+    return stego_engine._orders
 
 
 class TestCaches:
@@ -330,29 +330,28 @@ class TestCaches:
         order = pixel_order(5, 3)
         assert order.tolist() == list(range(15))
         assert not order.flags.writeable
-        assert cold_order_cache.cache_info().currsize == 0
+        assert len(cold_order_cache) == 0
 
     def test_same_key_gives_the_same_order(self, cold_order_cache):
         order = pixel_order(4, 4, b"k")
         assert pixel_order(4, 4, b"k") is order
         assert pixel_order(2, 8, bytearray(b"k")) is order
-        assert cold_order_cache.cache_info().hits == 2
 
     def test_second_key_replaces_the_first(self, cold_order_cache):
         a = pixel_order(4, 4, b"a")
         pixel_order(4, 4, b"b")
-        assert cold_order_cache.cache_info().currsize == 1
+        assert len(cold_order_cache) == 1
         assert pixel_order(4, 4, b"a") is not a
         assert np.array_equal(pixel_order(4, 4, b"a"), a)
         pixel_order(5, 5, b"a")
-        assert cold_order_cache.cache_info().currsize == 1
+        assert len(cold_order_cache) == 1
 
     def test_row_major_call_leaves_the_cache_alone(self, cold_order_cache):
         keyed = pixel_order(4, 4, b"k")
-        info = cold_order_cache.cache_info()
+        cached = dict(cold_order_cache)
         pixel_order(4, 4)
         pixel_order(3, 3)
-        assert cold_order_cache.cache_info() == info
+        assert cold_order_cache == cached
         assert pixel_order(4, 4, b"k") is keyed
 
     def test_concurrent_keyed_calls(self, cold_order_cache):
@@ -385,7 +384,7 @@ class TestCaches:
         assert sorted(done) == list(range(threads))
         # checked after every call has returned: no order handed out changes
         assert all(order.tolist() == want[i] for i, order in got)
-        assert cold_order_cache.cache_info().currsize == 1
+        assert len(cold_order_cache) == 1
 
     def test_cold_key_built_once_under_concurrency(self, cold_order_cache, monkeypatch):
         # the build waits, so that every thread asks while the first builds
@@ -449,7 +448,8 @@ class TestKeyedMemory:
     """Working memory of the keyed and row-major paths at 1024^2, in B/px.
 
     Each bound sits above what the code allocates: the cold order holds
-    under 17 B/px on any number of threads (bound 18), a warm
+    under 17 B/px on any number of threads, and so does a switch of key or
+    pixel count, which drops the cached order first (bound 18), a warm
     full-capacity binary round trip, keyed or not, 4.1 B/px in embed
     (bound 5) and 2.3 in extract (bound 4), and capacity 0.19 in
     Fibonacci plane 11, tested by value range, and 0.50 in prime plane 1,
@@ -482,6 +482,44 @@ class TestKeyedMemory:
 
         n = MEMORY_SIDE * MEMORY_SIDE
         assert traced_peak(stego_engine._keyed_order, n, b"memory") <= 18 * n
+
+    @staticmethod
+    def switch_peak(calls) -> float:
+        """Peak of keyed `pixel_order` calls at MEMORY_SIDE wide, in B/px of
+        the first; (height, key) for each call."""
+        # imported first, so that the peak counts the orders, not the module
+        import concurrent.futures  # noqa: F401
+
+        def switch():
+            for height, key in calls:
+                pixel_order(MEMORY_SIDE, height, key)
+
+        peak = traced_peak(switch) / (MEMORY_SIDE * calls[0][0])
+        # the last order alone stays cached
+        height, key = calls[-1]
+        assert list(stego_engine._orders) == [(MEMORY_SIDE * height, key)]
+        return peak
+
+    def test_key_switch_holds_one_order(self, cold_order_cache):
+        calls = [(MEMORY_SIDE, b"first"), (MEMORY_SIDE, b"second")]
+        assert self.switch_peak(calls) <= 18
+
+    def test_pixel_count_switch_holds_one_order(self, cold_order_cache):
+        calls = [(MEMORY_SIDE, b"memory"), (MEMORY_SIDE - 1, b"memory")]
+        assert self.switch_peak(calls) <= 18
+
+    def test_failed_build_caches_nothing(self, cold_order_cache, monkeypatch):
+        order = pixel_order(64, 64, b"kept")
+
+        def fail(count, key):
+            raise MemoryError
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stego_engine, "_keyed_order", fail)
+            with pytest.raises(MemoryError):
+                pixel_order(64, 64, b"other")
+        assert cold_order_cache == {}
+        assert np.array_equal(pixel_order(64, 64, b"kept"), order)
 
     def test_full_capacity_embed(self, round_trip):
         cover, payload, params, _ = round_trip
@@ -704,7 +742,7 @@ class TestEmbedExtract:
         cover = random_cover(64, 64, seed=61)
         with pytest.raises(CapacityError):
             embed(cover, bytes(4096), params_for(SchemeKind.BINARY, key=b"oversize"))
-        assert cold_order_cache.cache_info().misses == 0
+        assert cold_order_cache == {}
 
     def test_extract_header_truncation(self):
         # craft a stego image whose header promises more than the image holds
