@@ -183,9 +183,11 @@ def _splitmix64(seed: int, z: np.ndarray) -> np.ndarray:
 _ORDER_BLOCK = 1 << 16
 
 # Most runs of consecutive embeddable values for which the carrier scan tests
-# value ranges rather than look pixel pairs up. Per 2^16-pixel block on a
-# 2-vCPU AMD EPYC VM, the pair lookup takes 17.5 us, and the range test 2.6,
-# 5.8, 8.8, 12.1, 14.9 and 17.6 us for 1 to 6 runs.
+# value ranges rather than look pixel pairs up. Per 2^16-pixel block, the
+# pair lookup takes 17.5 us on a 2-vCPU AMD EPYC VM, and the range test 2.6,
+# 5.8, 8.8, 12.1, 14.9 and 17.6 us for 1 to 6 runs; on a 2-vCPU Intel Xeon
+# VM, the lookup takes 30.0 us, and the range test 6.6, 15.4, 24.0, 32.7,
+# 41.9 and 50.5 us (best of 7 x 2000 calls).
 _RANGE_RUNS = 4
 
 # Orders of fewer steps are built on the calling thread alone. On a 2-vCPU
@@ -382,7 +384,8 @@ def _pair_table(emb: np.ndarray) -> np.ndarray:
 
     Entry i, read as its two bytes, holds emb of each byte of i in the same
     order. That holds in either byte order, so a uint16 view of pixel bytes
-    indexes it directly. It takes about 6 us to build and is not cached:
+    indexes it directly. It takes about 6 us to build on a 2-vCPU AMD EPYC
+    VM and 12 us on a 2-vCPU Intel Xeon VM, and is not cached:
     a table for each of the 58 planes `analyze` sweeps would hold 58 times
     its 128 KiB. `_carrier_blocks` says which planes build it.
     """
@@ -430,18 +433,20 @@ def _carrier_blocks(image: GrayImage, key: bytes | None, emb: np.ndarray):
     so no index array is built, or reading the block's view of the order.
 
     The carrier test is chosen once per scan from `emb`. When its
-    embeddable values form at most _RANGE_RUNS runs of consecutive values,
+    embeddable values form one to _RANGE_RUNS runs of consecutive values,
     as in every binary plane and the sparse top planes of the others, a
     pixel carries iff (pixel - start) <= span in wrapping uint8 arithmetic
-    for one of the runs, a few element-wise passes per block that cost less
-    than a lookup. Otherwise, as in the low planes of every scheme but
-    binary, the mask is looked up two pixels at a time in the plane's pair
-    table, built once per scan; an odd-length block is padded with one
-    byte, whose result is dropped.
+    for one of the runs: a few element-wise passes per run and block, which
+    cost less than a lookup on the AMD host that _RANGE_RUNS names, and up
+    to 9 % more at four runs on the Intel one. Otherwise, as in the low
+    planes of every scheme but binary, and for a hand-made `emb` with no
+    embeddable value, the mask is looked up two pixels at a time in the
+    plane's pair table, built once per scan; an odd-length block is padded
+    with one byte, whose result is dropped.
     """
     px = np.frombuffer(image.pixels, dtype=np.uint8)
     runs = _value_runs(emb)
-    pairs = None if runs is not None else _pair_table(emb)
+    pairs = None if runs else _pair_table(emb)
     order = None if key is None else pixel_order(image.width, image.height, key)
     for lo in range(0, px.size, _ORDER_BLOCK):
         if order is None:
@@ -451,16 +456,10 @@ def _carrier_blocks(image: GrayImage, key: bytes | None, emb: np.ndarray):
             # take, not []: a full 2048^2 keyed gather takes 15 against 23 ms
             chunk, where = px.take(pos), pos.take
         if pairs is None:
-            # the first run's test is the mask; no run, no carrier, which
-            # only a hand-made emb gives: table_for planes all carry 0
-            found = None if runs else np.zeros(chunk.size, dtype=bool)
-            for start, span in runs:
-                inside = np.subtract(chunk, start)
-                hit = np.less_equal(inside, span, out=inside.view(bool))
-                if found is None:
-                    found = hit
-                else:
-                    found |= hit
+            (start, span), *rest = runs
+            found = np.subtract(chunk, start) <= span
+            for start, span in rest:
+                found |= np.subtract(chunk, start) <= span
         else:
             padded = np.append(chunk, np.uint8(0)) if chunk.size % 2 else chunk
             found = pairs.take(padded.view(np.uint16)).view(bool)[: chunk.size]
@@ -523,19 +522,18 @@ def extract(stego: GrayImage, params: StegoParams) -> bytes:
     """Recover the payload embedded with the same params (key included)."""
     emb, digit, _ = plane_luts(params.scheme, params.plane)
     parts: list[np.ndarray] = []
-    have, end = 0, None  # end: the frame's bit length, once the header is read
+    have, end = 0, HEADER_BITS  # end: the header, then the frame it declares
     for _, found, chunk, _ in _carrier_blocks(stego, params.key, emb):
         # take, not chunk[found], as in embed
         values = chunk.take(np.flatnonzero(found))
         parts.append(digit.take(values))
         have += values.size
-        if end is None and have >= HEADER_BITS:
+        if end == HEADER_BITS <= have:
             end = _frame_end(np.concatenate(parts))
             _check_fits(stego, params, end)
-        if end is not None and have >= end:
+        if have >= end:
             break
-    end = HEADER_BITS if end is None else end
-    if have < end:
+    else:
         # the scan ran to the end, so it found every embeddable pixel
         raise CapacityError(required_bits=end, available_bits=have)
     return np.packbits(np.concatenate(parts)[HEADER_BITS:end]).tobytes()

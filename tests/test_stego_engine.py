@@ -1010,6 +1010,42 @@ class TestMatchesFullScan:
         assert got[0] is CapacityError
         assert got == outcome(extract_reference, cover, params)
 
+    @pytest.mark.parametrize("payload", [b"A", b""])
+    def test_header_ends_on_a_block_boundary(self, payload, monkeypatch):
+        # natural plane 0: 0 carries and 255 is skipped; the first scan
+        # block holds exactly the 32 header carriers, the next the byte's 8
+        px = np.full(200_000, 255, dtype=np.uint8)
+        px[:32] = 0
+        px[BLOCK : BLOCK + 8] = 0
+        cover = GrayImage(px.size, 1, px.tobytes())
+        params = params_for(SchemeKind.NATURAL)
+        stego, _ = embed(cover, payload, params)
+        blocks = []
+        scan = stego_engine._carrier_blocks
+
+        def counted(image, key, emb):
+            for block in scan(image, key, emb):
+                blocks.append(block[0])
+                yield block
+
+        monkeypatch.setattr(stego_engine, "_carrier_blocks", counted)
+        got = outcome(extract, stego, params)
+        assert got == outcome(extract_reference, stego, params) == payload
+        # the walk stops in the block that holds the frame's last carrier
+        assert blocks == ([0, BLOCK] if payload else [0])
+
+    def test_header_alone_fills_the_image(self):
+        # every binary plane-0 pixel carries: the header declares 1 byte,
+        # and the image has no carrier past it
+        px = np.zeros(32, dtype=np.uint8)
+        px[-1] = 1
+        cover = GrayImage(8, 4, px.tobytes())
+        params = params_for(SchemeKind.BINARY)
+        got = outcome(extract, cover, params)
+        assert got[0] is CapacityError
+        assert got[2] == {"required_bits": 40, "available_bits": 32}
+        assert got == outcome(extract_reference, cover, params)
+
     def test_oversized_header_fails_after_one_block(self, monkeypatch):
         # binary plane 0 carries everywhere; the first 32 keyed carriers
         # declare 2^32 - 1 bytes, which no 200 000-pixel image can hold
