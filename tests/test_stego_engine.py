@@ -1010,7 +1010,7 @@ class TestMatchesFullScan:
         assert got[0] is CapacityError
         assert got == outcome(extract_reference, cover, params)
 
-    @pytest.mark.parametrize("payload", [b"A", b""])
+    @pytest.mark.parametrize("payload", [b"A", b""], ids=["one_byte", "empty"])
     def test_header_ends_on_a_block_boundary(self, payload, monkeypatch):
         # natural plane 0: 0 carries and 255 is skipped; the first scan
         # block holds exactly the 32 header carriers, the next the byte's 8
