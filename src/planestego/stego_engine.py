@@ -182,14 +182,6 @@ def _splitmix64(seed: int, z: np.ndarray) -> np.ndarray:
 # so a longer block would make short round trips read more pixels.
 _ORDER_BLOCK = 1 << 16
 
-# Most runs of consecutive embeddable values for which the carrier scan tests
-# value ranges rather than look pixel pairs up. Per 2^16-pixel block, the
-# pair lookup takes 17.5 us on a 2-vCPU AMD EPYC VM, and the range test 2.6,
-# 5.8, 8.8, 12.1, 14.9 and 17.6 us for 1 to 6 runs; on a 2-vCPU Intel Xeon
-# VM, the lookup takes 30.0 us, and the range test 6.6, 15.4, 24.0, 32.7,
-# 41.9 and 50.5 us (best of 7 x 2000 calls).
-_RANGE_RUNS = 4
-
 # Orders of fewer steps are built on the calling thread alone. On a 2-vCPU
 # AMD EPYC VM, with concurrent.futures already imported (importing it takes
 # about 3.6 ms), two threads built a 512^2 order in 7.3 ms against 7.1 ms on
@@ -393,18 +385,14 @@ def _pair_table(emb: np.ndarray) -> np.ndarray:
     return ((e[:, None] << 8) | e).ravel()
 
 
-def _value_runs(emb: np.ndarray) -> list[tuple[np.uint8, np.uint8]] | None:
-    """(start, span) of each run start..start + span of embeddable values,
-    or None when there are more than _RANGE_RUNS runs."""
-    padded = np.concatenate(([False], emb, [False]))
-    bounds = np.flatnonzero(padded[1:] != padded[:-1])
-    if bounds.size > 2 * _RANGE_RUNS:
+def _value_range(emb: np.ndarray) -> tuple[np.uint8, np.uint8] | None:
+    """(start, span) when the embeddable values are start..start + span
+    modulo 256, or None when they are not one such range or there are none."""
+    starts = np.flatnonzero(emb & ~np.roll(emb, 1))
+    if starts.size > 1 or not emb.any():
         return None
-    # Python ints first: a uint8 scalar difference that wraps warns
-    return [
-        (np.uint8(start), np.uint8(end - 1 - start))
-        for start, end in bounds.reshape(-1, 2).tolist()
-    ]
+    start = starts[0] if starts.size else 0  # no start: every value carries
+    return np.uint8(start), np.uint8(np.count_nonzero(emb) - 1)
 
 
 def capacity(image: GrayImage, params: StegoParams) -> int:
@@ -433,20 +421,20 @@ def _carrier_blocks(image: GrayImage, key: bytes | None, emb: np.ndarray):
     so no index array is built, or reading the block's view of the order.
 
     The carrier test is chosen once per scan from `emb`. When its
-    embeddable values form one to _RANGE_RUNS runs of consecutive values,
-    as in every binary plane and the sparse top planes of the others, a
-    pixel carries iff (pixel - start) <= span in wrapping uint8 arithmetic
-    for one of the runs: a few element-wise passes per run and block, which
-    cost less than a lookup on the AMD host that _RANGE_RUNS names, and up
-    to 9 % more at four runs on the Intel one. Otherwise, as in the low
-    planes of every scheme but binary, and for a hand-made `emb` with no
-    embeddable value, the mask is looked up two pixels at a time in the
-    plane's pair table, built once per scan; an odd-length block is padded
-    with one byte, whose result is dropped.
+    embeddable values form one range modulo 256, as in every binary plane
+    and the top plane of the others, a pixel carries iff (pixel - start) <=
+    span in wrapping uint8 arithmetic, so a range may run across 255 -> 0.
+    Per 2^16-pixel block that test costs 2.6 us against 17.5 us for a lookup
+    on a 2-vCPU AMD EPYC VM, and 6.6 against 30.0 us on a 2-vCPU Intel Xeon
+    VM (best of 7 x 2000 calls). Otherwise, as in the planes of two or more
+    ranges and for a hand-made `emb` with no embeddable value, the mask is
+    looked up two pixels at a time in the plane's pair table, built once per
+    scan; an odd-length block is padded with one byte, whose result is
+    dropped.
     """
     px = np.frombuffer(image.pixels, dtype=np.uint8)
-    runs = _value_runs(emb)
-    pairs = None if runs else _pair_table(emb)
+    value_range = _value_range(emb)
+    pairs = None if value_range else _pair_table(emb)
     order = None if key is None else pixel_order(image.width, image.height, key)
     for lo in range(0, px.size, _ORDER_BLOCK):
         if order is None:
@@ -456,10 +444,8 @@ def _carrier_blocks(image: GrayImage, key: bytes | None, emb: np.ndarray):
             # take, not []: a full 2048^2 keyed gather takes 15 against 23 ms
             chunk, where = px.take(pos), pos.take
         if pairs is None:
-            (start, span), *rest = runs
+            start, span = value_range
             found = np.subtract(chunk, start) <= span
-            for start, span in rest:
-                found |= np.subtract(chunk, start) <= span
         else:
             padded = np.append(chunk, np.uint8(0)) if chunk.size % 2 else chunk
             found = pairs.take(padded.view(np.uint16)).view(bool)[: chunk.size]

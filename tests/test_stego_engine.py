@@ -297,8 +297,7 @@ class TestCapacity:
         assert capacity(img, params_for(SchemeKind.NATURAL)) == 35
 
     def test_zero_cover_fills_every_plane(self):
-        # value 0 carries a bit in every plane (see plane_luts), so no
-        # table_for plane has an empty run list
+        # value 0 carries a bit in every plane (see plane_luts)
         img = GrayImage(7, 5, bytes(35))
         schemes = [WeightScheme(kind) for kind in ALL_KINDS] + [
             WeightScheme(SchemeKind.FIBONACCI, p=p) for p in (2, 3, 5, 2**40)
@@ -307,8 +306,6 @@ class TestCapacity:
         assert len(planes) == 365
         for scheme, plane in planes:
             assert capacity(img, StegoParams(scheme, plane)) == 35, (scheme, plane)
-            emb, _, _ = plane_luts(scheme, plane)
-            assert stego_engine._value_runs(emb) != []
 
     def test_key_does_not_change_capacity(self):
         cover = random_cover(32, 32)
@@ -543,7 +540,7 @@ class TestKeyedMemory:
         # scan looks pixel pairs up
         cover = random_cover(MEMORY_SIDE, MEMORY_SIDE, seed=83)
         params = params_for(SchemeKind.PRIME, plane=1)
-        assert stego_engine._value_runs(plane_luts(params.scheme, 1)[0]) is None
+        assert stego_engine._value_range(plane_luts(params.scheme, 1)[0]) is None
         capacity(cover, params)  # builds the plane's tables
         assert traced_peak(capacity, cover, params) <= 0.75 * len(cover.pixels)
 
@@ -850,13 +847,15 @@ FULL_SCAN_CASES = [
 
 
 # Embeddable values as inclusive runs (first, last), by test id: the edge
-# cases, then 1 to 6 runs, across the range scan's cutoff
+# cases, runs that meet across 255 -> 0 or do not, then 1 to 6 runs
 HAND_RUNS = {
     (): "none",
     ((0, 255),): "all",
     ((0, 0),): "only-0",
     ((255, 255),): "only-255",
     ((0, 9), (250, 255)): "both-ends",
+    ((0, 99), (101, 255)): "all-but-100",
+    ((10, 20), (250, 255)): "ends-at-255",
     **{
         tuple((j * 256 // r + 3, (j + 1) * 256 // r - 3 - j) for j in range(r)):
         f"{r}-runs"
@@ -864,8 +863,8 @@ HAND_RUNS = {
     },
 }
 
-# planes whose embeddable values form one or two runs: binary 0 and the
-# top plane of each other scheme
+# planes whose embeddable values form one range modulo 256: binary 0 and
+# the top plane of each other scheme, Fibonacci 11's across 255 -> 0
 RANGE_PLANES = [
     (SchemeKind.BINARY, 0),
     (SchemeKind.FIBONACCI, 11),
@@ -903,8 +902,10 @@ class TestCarrierScan:
         emb = np.zeros(256, dtype=bool)
         for first, last in runs:
             emb[first : last + 1] = True
-        ranged = stego_engine._value_runs(emb) is not None
-        assert ranged == (len(runs) <= stego_engine._RANGE_RUNS)
+        # a run from 0 and a run to 255 meet across 255 -> 0
+        ranges = len(runs) - (len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == 255)
+        ranged = stego_engine._value_range(emb) is not None
+        assert ranged == (ranges == 1)
         # every two-byte pair, then odd lengths, which only the pair path pads
         pairs = np.stack(np.divmod(np.arange(1 << 16), 256), -1).astype(np.uint8)
         rng = np.random.default_rng(len(runs))
@@ -934,9 +935,26 @@ class TestCarrierScan:
         assert (stego, report) == embed_reference(cover, payload, params)
         assert extract(stego, params) == payload
 
+    def test_range_planes_at_p1(self):
+        ranged = {
+            (kind, plane)
+            for kind in ALL_KINDS
+            for plane in range(table_for(WeightScheme(kind)).n)
+            if stego_engine._value_range(plane_luts(WeightScheme(kind), plane)[0])
+            is not None
+        }
+        binary = {(SchemeKind.BINARY, plane) for plane in range(8)}
+        assert ranged == binary | set(RANGE_PLANES)
+
     @pytest.mark.parametrize("key", [None, b"pairs"], ids=["nokey", "keyed"])
     @pytest.mark.parametrize(
-        "kind,plane", [(SchemeKind.PRIME, 1), (SchemeKind.NATURAL, 0)],
+        "kind,plane",
+        [
+            (SchemeKind.PRIME, 1),
+            (SchemeKind.NATURAL, 0),
+            (SchemeKind.FIBONACCI, 8),
+            (SchemeKind.NATURAL, 21),
+        ],
         ids=lambda c: getattr(c, "value", c),
     )
     def test_pair_table_built_once_per_scan(self, kind, plane, key, monkeypatch):
