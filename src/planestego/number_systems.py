@@ -54,7 +54,7 @@ class SchemeKind(Enum):
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """A weight-sequence family, plus the Fibonacci order p where relevant."""
+    """A weight-sequence family, plus the Fibonacci order p >= 1 where relevant."""
 
     kind: SchemeKind
     p: int = 1
@@ -63,7 +63,7 @@ class WeightScheme:
         if not isinstance(self.kind, SchemeKind):
             raise ValueError(f"unknown scheme kind: {self.kind!r}")
         p = operator.index(self.p)  # an int: 2.0 must not share p = 2's caches
-        if p < 1:
+        if self.kind is SchemeKind.FIBONACCI and p < 1:
             raise ValueError(f"Fibonacci order must be >= 1, got {p}")
         # p is meaningless elsewhere
         object.__setattr__(self, "p", p if self.kind is SchemeKind.FIBONACCI else 1)

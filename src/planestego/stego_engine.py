@@ -283,8 +283,8 @@ def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
     them. A self-swap's A is never read.
 
     Its five stages are the draws, the sort, the chain resolve, the fix-up
-    and the scatter. After the sort, step and target are the uint32 halves
-    of the sorted keys, read in place.
+    and a second sort, by step, that turns the keys into the order. Step
+    and target are the uint32 halves of the keys, read in place.
     """
     blocks = range(0, count, _ORDER_BLOCK)
 
@@ -325,17 +325,16 @@ def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
 
     each_block(fix_up)
     del a, same
-    order = np.empty(count, dtype=np.int64)
 
-    # step is a permutation, so the blocks write disjoint positions; each
-    # casts its steps to intp 2^12 at a time, 32 KiB per worker
-    def scatter(lo: int) -> None:
-        for sub in range(lo, min(count, lo + _ORDER_BLOCK), 1 << 12):
-            hi = sub + (1 << 12)
-            order[step[sub:hi].astype(np.intp)] = target[sub:hi]
-
-    each_block(scatter)
-    return order
+    # As step << 32 | value, sorted once more, key i holds step i's value:
+    # step is a permutation. Swapped on this thread, not the pool, so that
+    # the swap's temporaries do not grow with the workers.
+    for lo in blocks:
+        block = keys[lo : lo + _ORDER_BLOCK]
+        np.bitwise_or(block << np.uint64(32), block >> np.uint64(32), out=block)
+    keys.sort()
+    keys &= np.uint64(0xFFFFFFFF)
+    return keys.view(np.int64)
 
 
 # The last keyed order, by (pixel count, key); read and written only under

@@ -206,6 +206,15 @@ def test_capacity_command(cover_path, capsys):
     assert capsys.readouterr().out.strip() == f"capacity_bits={64 * 48}"
 
 
+@pytest.mark.parametrize("kind, p", [("binary", "0"), ("natural", "-1")])
+def test_p_ignored_outside_fibonacci(cover_path, capsys, kind, p):
+    common = ["capacity", "--scheme", kind, "--plane", "3", "--in", str(cover_path)]
+    assert run(common) == 0
+    expected = capsys.readouterr().out
+    assert run([*common, f"--p={p}"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_capacity_exceeded_exit3(tmp_path, cover_path, capsys):
     big = tmp_path / "big.bin"
     big.write_bytes(bytes(64 * 48))  # more bits than pixels

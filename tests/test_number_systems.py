@@ -192,6 +192,11 @@ class TestWeightScheme:
     def test_p_normalized_for_non_fibonacci(self):
         assert WeightScheme(SchemeKind.PRIME, p=7).p == 1
         assert WeightScheme(SchemeKind.FIBONACCI, p=2).p == 2
+        # p is meaningless outside Fibonacci, so no integer p is out of range
+        assert WeightScheme(SchemeKind.BINARY, p=0) == WeightScheme(SchemeKind.BINARY)
+        assert WeightScheme(SchemeKind.NATURAL, p=-1).p == 1
+        with pytest.raises(TypeError):
+            WeightScheme(SchemeKind.BINARY, p=1.5)
 
     def test_kind_must_be_a_scheme_kind(self):
         with pytest.raises(ValueError, match="unknown scheme kind"):

@@ -445,14 +445,14 @@ class TestKeyedMemory:
     """Working memory of the keyed and row-major paths at 1024^2, in B/px.
 
     Each bound sits above what the code allocates: the cold order holds
-    under 17 B/px on any number of threads, and so does a switch of key or
-    pixel count, which drops the cached order first (bound 18), a warm
-    full-capacity binary round trip, keyed or not, 4.1 B/px in embed
-    (bound 5) and 2.3 in extract (bound 4), and capacity 0.19 in
-    Fibonacci plane 11, tested by value range, and 0.50 in prime plane 1,
-    which looks pixel pairs up (bound 0.75). Full-size position arrays,
-    scan-round copies, an int64 copy of an int32 index array, or in
-    capacity any array of a byte per pixel, break them.
+    14.4 B/px on one thread (bound 15) and under 17 on up to 8 threads, and
+    so does a switch of key or pixel count, which drops the cached order
+    first (bound 18), a warm full-capacity binary round trip, keyed or
+    not, 4.1 B/px in embed (bound 5) and 2.3 in extract (bound 4), and
+    capacity 0.19 in Fibonacci plane 11, tested by value range, and 0.50
+    in prime plane 1, which looks pixel pairs up (bound 0.75). Full-size
+    position arrays, scan-round copies, an int64 copy of an int32 index
+    array, or in capacity any array of a byte per pixel, break them.
     """
 
     @pytest.fixture(
@@ -470,6 +470,12 @@ class TestKeyedMemory:
     def test_cold_order(self):
         n = MEMORY_SIDE * MEMORY_SIDE
         assert traced_peak(stego_engine._keyed_order, n, b"memory") <= 18 * n
+
+    def test_cold_order_one_thread(self, monkeypatch):
+        # the keys become the order in place: no second full-size array
+        monkeypatch.setattr(stego_engine, "_order_workers", lambda count: 1)
+        n = MEMORY_SIDE * MEMORY_SIDE
+        assert traced_peak(stego_engine._keyed_order, n, b"memory") <= 15 * n
 
     @pytest.mark.parametrize("workers", [4, 8])
     def test_cold_order_forced_workers(self, workers, monkeypatch):
