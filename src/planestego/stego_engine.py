@@ -182,6 +182,11 @@ def _splitmix64(seed: int, z: np.ndarray) -> np.ndarray:
 # so a longer block would make short round trips read more pixels.
 _ORDER_BLOCK = 1 << 16
 
+# Sorted keys per chunk of the chain resolve. The targets crowd at the low
+# positions, several keys to a position at the bottom of the order, so the
+# chunks count keys, not positions, to bound their temporaries.
+_CHAIN_KEYS = 1 << 15
+
 # Orders of fewer steps are built on the calling thread alone. On a 2-vCPU
 # AMD EPYC VM, with concurrent.futures already imported (importing it takes
 # about 3.6 ms), two threads built a 512^2 order in 7.3 ms against 7.1 ms on
@@ -195,7 +200,9 @@ _STEP_HALF = 0 if sys.byteorder == "little" else 1
 
 def _order_workers(count: int) -> int:
     """Threads that build an order of `count` steps: one per CPU the
-    process may run on, at most one per block, and one for a small order."""
+    process may run on, at most one per block, and one for a small order.
+    `_keyed_order` splits the order in two halves, one per thread, when
+    this is more than one."""
     if count < _THREADED_MIN:
         return 1
     try:
@@ -208,57 +215,70 @@ def _order_workers(count: int) -> int:
 def _keyed_order(count: int, key: bytes) -> np.ndarray:
     """The Fisher-Yates permutation the key seeds, without a per-step loop.
 
-    The element-wise stages run over fixed blocks of steps, on a thread
-    pool that lives for this call when the order is large. The calling
-    thread allocates every full-size array and each block writes only its
-    own part, so the result does not depend on the number of threads.
-    More than 2^32 steps raise ValueError before anything is allocated.
+    With one worker, `_resolve_range` resolves all the steps at once. With
+    more, the steps from `base`, count / 2 rounded down to a block, up to
+    count resolve on a second thread while the steps below base resolve on
+    this one, each in its own part of one key buffer. The top range runs
+    first in the shuffle, so the bottom range's order is read through the
+    values the top range leaves below base, a block at a time in place.
+    Either way the result is the same order. More than 2^32 steps raise
+    ValueError before anything is allocated.
     """
     # a step and its swap target each fill one uint32 half of a key
     if count > 2**32:
         raise ValueError(f"a keyed order has at most 2^32 steps, got {count}")
-    workers = _order_workers(count)
-    if workers == 1:
-        return _resolve_order(count, key, map)
+    # imported here: numpy does not load it, and only a keyed order needs it
+    import hashlib
+
+    seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+    keys = np.empty(count, dtype=np.uint64)
+    if _order_workers(count) == 1:
+        _resolve_range(seed, count, keys)
+        return keys.view(np.int64)
     # imported here, so that small orders and `import planestego` skip it
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers) as pool:
-        return _resolve_order(count, key, pool.map)
+    base = count // 2 // _ORDER_BLOCK * _ORDER_BLOCK
+    with ThreadPoolExecutor(1) as pool:
+        top = pool.submit(_resolve_range, seed, count, keys[base:], base)
+        _resolve_range(seed, count, keys[:base])
+        left = top.result()
+    for lo in range(0, base, _ORDER_BLOCK):
+        block = keys[lo : lo + _ORDER_BLOCK]
+        block[:] = left.take(block.view(np.int64))
+    return keys.view(np.int64)
 
 
 def _chain_ends(
-    keys: np.ndarray, step: np.ndarray, target: np.ndarray
+    keys: np.ndarray, step: np.ndarray, target: np.ndarray, end: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """End of the pointer chain from each position in [0, keys.size), and
-    `same`: same[i] marks that sorted steps i and i + 1 share a group.
+    """End of the pointer chain from each position in [0, end), and `same`:
+    same[k] marks that sorted keys k - 1 and k share a group.
 
     `keys` are the sorted keys, and `step` and `target` their halves. Each
-    group of the sorted steps but the first points from position target[k]
-    up to step[k], k the group's first step; any other position, or one
-    that points to itself, is a chain end. Chains are followed a block of
-    positions at a time from the top down, so a pointer past the block
-    already holds its end, and pointer doubling resolves the pointers that
-    stay inside it. A block finds its groups in the span of sorted keys
-    whose target lies in it, comparing each step there with the one before
+    group of the sorted steps points from position target[k] up to step[k],
+    k the group's first key; any other position, or one that points to
+    itself, is a chain end. Chains are followed _CHAIN_KEYS sorted keys at
+    a time from the top down. A key's step is above its target, so a group
+    whose step a pointer of the chunk reaches has its first key in this
+    chunk or above it: a pointer past the chunk's top target already holds
+    its end, and pointer doubling resolves the ones that stay inside it.
+    A chunk finds its groups by comparing each target with the one before
     as it goes, so no array of all groups is built.
     """
-    count = keys.size
-    a = np.arange(count, dtype=np.uint32)
-    same = np.empty(count - 1, dtype=bool)
-    # searched in the contiguous keys: numpy would copy the strided target
-    starts = np.arange(0, count, _ORDER_BLOCK, dtype=np.uint64)
-    bounds = np.append(np.searchsorted(keys, starts << np.uint64(32)), count)
-    for b in range(starts.size - 1, -1, -1):
-        # step 0 heads the first group and is a self-swap: it never points
-        lo, hi = max(int(bounds[b]), 1), int(bounds[b + 1])
-        span = same[lo - 1 : hi - 1]
-        np.equal(target[lo:hi], target[lo - 1 : hi - 1], out=span)
-        heads = np.flatnonzero(~span)
+    a = np.arange(end, dtype=np.uint32)
+    # the first key heads a group: a real one when the range starts above
+    # step 0, and otherwise step 0's self-swap, whose pointer stays put
+    same = np.zeros(keys.size, dtype=bool)
+    for hi in range(keys.size, 0, -_CHAIN_KEYS):
+        lo = max(hi - _CHAIN_KEYS, 0)
+        first = max(lo, 1)
+        np.equal(target[first:hi], target[first - 1 : hi - 1], out=same[first:hi])
+        heads = np.flatnonzero(~same[lo:hi])
         heads += lo
         u, v = target[heads], a[step[heads]]
         a[u] = v
-        inside = v < min(count, (b + 1) * _ORDER_BLOCK)
+        inside = v <= target[hi - 1]
         u, v = u[inside], v[inside]
         while u.size:
             w = a[v]
@@ -268,8 +288,10 @@ def _chain_ends(
     return a, same
 
 
-def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
-    """`_keyed_order`, with `mapper(stage, blocks)` running each stage.
+def _resolve_range(seed: int, count: int, keys: np.ndarray, base: int = 0) -> np.ndarray:
+    """The order of the steps [base, base + keys.size) of a `count`-step
+    shuffle run alone from the identity, written over `keys`, and the
+    values those steps leave in positions [0, base).
 
     Step i (i = count-1 down to 0) swaps positions i and s[i] <= i, and
     position i is final after it; step 0 draws modulo 1, so s[0] = 0.
@@ -280,61 +302,50 @@ def _resolve_order(count: int, key: bytes, mapper) -> np.ndarray:
     value at position j just before step j. For j not a self-swap, that is
     A of the smallest step of group j, or j if the group is empty; these
     pointers only go up, so following them to their chain ends resolves
-    them. A self-swap's A is never read.
+    them. A self-swap's A is never read. A position p below base is a
+    group's target but no step of the range: its pointer's end is what the
+    range leaves there.
 
     Its five stages are the draws, the sort, the chain resolve, the fix-up
-    and a second sort, by step, that turns the keys into the order. Step
-    and target are the uint32 halves of the keys, read in place.
+    and a second sort, by step, that turns the keys into the order. Each
+    runs on the calling thread, over blocks of _ORDER_BLOCK keys where it
+    is element-wise. Step and target are the uint32 halves of the keys,
+    read in place.
     """
-    blocks = range(0, count, _ORDER_BLOCK)
-
-    def each_block(stage) -> None:
-        # reading every result joins the stage and re-raises its errors
-        for _ in mapper(stage, blocks):
-            pass
-
-    # imported here: numpy does not load it, and only a keyed order needs it
-    import hashlib
-
-    seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
-
-    # keys[i] = s[i] << 32 | i. Step i draws the (count - i)-th SplitMix64
-    # output, modulo i + 1: step 0's, modulo 1, makes it a no-op swap of
-    # position 0, key 0.
-    keys = np.empty(count, dtype=np.uint64)
-
-    def draw(lo: int) -> None:
-        hi = min(count, lo + _ORDER_BLOCK)
-        z = _splitmix64(seed, np.arange(count - lo, count - hi, -1, dtype=np.uint64))
+    end = base + keys.size
+    # keys[i - base] = s[i] << 32 | i. Step i draws the (count - i)-th
+    # SplitMix64 output, modulo i + 1: step 0's, modulo 1, makes it a
+    # no-op swap of position 0, key 0.
+    for lo in range(base, end, _ORDER_BLOCK):
+        hi = min(end, lo + _ORDER_BLOCK)
+        z = keys[lo - base : hi - base]
+        z[:] = np.arange(count - lo, count - hi, -1, dtype=np.uint64)
+        _splitmix64(seed, z)
         z %= np.arange(lo + 1, hi + 1, dtype=np.uint64)
         z <<= np.uint64(32)
         z |= np.arange(lo, hi, dtype=np.uint64)
-        keys[lo:hi] = z
-
-    each_block(draw)
     keys.sort()
     halves = keys.view(np.uint32)
     step, target = halves[_STEP_HALF::2], halves[1 - _STEP_HALF :: 2]
-    a, same = _chain_ends(keys, step, target)
+    a, same = _chain_ends(keys, step, target, end)
 
     # Step i keeps s[i], or A of the next step of its group, written over
     # s[i] in its key: the keys are not read as sorted after this.
-    def fix_up(lo: int) -> None:
-        hi = min(count - 1, lo + _ORDER_BLOCK)
-        np.copyto(target[lo:hi], a.take(step[lo + 1 : hi + 1]), where=same[lo:hi])
+    for lo in range(0, keys.size - 1, _ORDER_BLOCK):
+        hi = min(keys.size - 1, lo + _ORDER_BLOCK)
+        np.copyto(
+            target[lo:hi], a.take(step[lo + 1 : hi + 1]), where=same[lo + 1 : hi + 1]
+        )
+    del same
 
-    each_block(fix_up)
-    del a, same
-
-    # As step << 32 | value, sorted once more, key i holds step i's value:
-    # step is a permutation. Swapped on this thread, not the pool, so that
-    # the swap's temporaries do not grow with the workers.
-    for lo in blocks:
+    # As step << 32 | value, sorted once more, key i - base holds step i's
+    # value: the steps are base, ..., end - 1.
+    for lo in range(0, keys.size, _ORDER_BLOCK):
         block = keys[lo : lo + _ORDER_BLOCK]
         np.bitwise_or(block << np.uint64(32), block >> np.uint64(32), out=block)
     keys.sort()
     keys &= np.uint64(0xFFFFFFFF)
-    return keys.view(np.int64)
+    return a[:base]
 
 
 # The last keyed order, by (pixel count, key); read and written only under

@@ -152,12 +152,14 @@ def splitmix64_reference(seed: int, count: int) -> list[int]:
     return out
 
 
-def fisher_yates_reference(n: int, key: bytes) -> list[int]:
-    """The keyed pixel order, by the sequential descending Fisher-Yates."""
+def fisher_yates_reference(n: int, key: bytes, base: int = 0) -> list[int]:
+    """The keyed pixel order, by the sequential descending Fisher-Yates;
+    with `base`, the shuffle's state just before step base, whose positions
+    from base up hold their final values."""
     seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
-    draws = splitmix64_reference(seed, n - 1)
+    draws = splitmix64_reference(seed, n - max(base, 1))
     perm = list(range(n))
-    for t, i in enumerate(range(n - 1, 0, -1)):
+    for t, i in enumerate(range(n - 1, max(base, 1) - 1, -1)):
         j = draws[t] % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     return perm

@@ -191,9 +191,50 @@ def reference_order(n):
     return fisher_yates_reference(n, b"workers")
 
 
+def resolve_range(n, key, base):
+    """(order, leftovers) of `_resolve_range` over the steps [base, n)."""
+    seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+    keys = np.empty(n - base, dtype=np.uint64)
+    left = stego_engine._resolve_range(seed, n, keys, base)
+    return keys.tolist(), left.tolist()
+
+
+class TestRangeResolve:
+    """The steps from base up, resolved alone, against the sequential
+    shuffle: their order is the order's top, and their leftovers are the
+    shuffle's state below base just before step base."""
+
+    # 3 keys a chunk splits groups and pointer chains across chunks
+    @pytest.mark.parametrize("chunk", [3, stego_engine._CHAIN_KEYS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64])
+    def test_every_base(self, n, chunk, monkeypatch):
+        monkeypatch.setattr(stego_engine, "_CHAIN_KEYS", chunk)
+        for key in ORDER_KEYS:
+            full = fisher_yates_reference(n, key)
+            for base in range(n + 1):
+                order, left = resolve_range(n, key, base)
+                assert order == full[base:]
+                assert left == fisher_yates_reference(n, key, base)[:base]
+
+    @given(n=st.integers(1, 3000), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_property(self, n, data):
+        base = data.draw(st.integers(0, n))
+        order, left = resolve_range(n, b"range", base)
+        assert order == fisher_yates_reference(n, b"range")[base:]
+        assert left == fisher_yates_reference(n, b"range", base)[:base]
+
+    @pytest.mark.parametrize("base", [*range(0, 3 * BLOCK + 17, BLOCK), BLOCK + 12345])
+    def test_bases_of_a_multi_block_order(self, base):
+        n = 3 * BLOCK + 17
+        order, left = resolve_range(n, b"workers", base)
+        assert order == reference_order(n)[base:]
+        assert left == fisher_yates_reference(n, b"workers", base)[:base]
+
+
 class TestKeyedOrderWorkers:
-    """The threaded stages against the sequential shuffle, and the pool's
-    lifetime."""
+    """The order built in two halves on two threads against the sequential
+    shuffle, and the second thread's lifetime."""
 
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -234,6 +275,36 @@ class TestKeyedOrderWorkers:
         )
         stego_engine._keyed_order(512 * 512, b"small")
         assert started == []
+
+    def test_many_workers_start_one_thread(self, monkeypatch):
+        # the two halves take one thread beside the caller's, whatever the
+        # CPU count
+        monkeypatch.setattr(stego_engine, "_order_workers", lambda count: 32)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda t: started.append(t) or start(t)
+        )
+        n = 3 * BLOCK + 17
+        assert stego_engine._keyed_order(n, b"workers").tolist() == reference_order(n)
+        assert len(started) <= 1
+
+    @pytest.mark.parametrize("half", ["top", "bottom"])
+    def test_a_failing_half_reraises_and_joins(self, half, cold_order_cache, monkeypatch):
+        monkeypatch.setattr(stego_engine, "_order_workers", lambda count: 2)
+        resolve = stego_engine._resolve_range
+
+        def fail_one_half(seed, count, keys, base=0):
+            if (base > 0) == (half == "top"):
+                raise MemoryError(half)
+            return resolve(seed, count, keys, base)
+
+        monkeypatch.setattr(stego_engine, "_resolve_range", fail_one_half)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match=half):
+            pixel_order(3 * BLOCK + 17, 1, b"fails")
+        assert threading.active_count() == before
+        assert cold_order_cache == {}
 
     def test_over_2_32_steps_raise_before_any_thread_or_allocation(self, monkeypatch):
         # 2^32 + 2^16 steps would need about 34 GB: the limit must come first
@@ -477,7 +548,7 @@ class TestKeyedMemory:
         n = MEMORY_SIDE * MEMORY_SIDE
         assert traced_peak(stego_engine._keyed_order, n, b"memory") <= 15 * n
 
-    @pytest.mark.parametrize("workers", [4, 8])
+    @pytest.mark.parametrize("workers", [4, 8, 32])
     def test_cold_order_forced_workers(self, workers, monkeypatch):
         monkeypatch.setattr(stego_engine, "_order_workers", lambda count: workers)
         # imported first, so that the peak counts the order, not the module
