@@ -21,11 +21,13 @@ from that seed, and a descending Fisher-Yates shuffle whose swap index at
 step i is the next SplitMix64 value reduced modulo i + 1. The shuffle is
 not run step by step: `_keyed_order` derives the same permutation in numpy
 by sorting the steps by swap target and resolving the resulting pointer
-chains a block at a time from the top down, running its element-wise
-stages on every CPU the process may use. A keyed order has at most 2^32
-steps, so that a step and its swap target each fit one uint32 half of a
-key. Only the last keyed order is kept, dropped before another is built,
-and concurrent callers build a cold one once.
+chains a chunk at a time from the top down. When the process may use more
+than one CPU and the order is large, the top and the bottom half of the
+steps are resolved that way on two threads at once, then joined by one
+gather. A keyed order has at most 2^32 steps, so that a step and its swap
+target each fit one uint32 half of a key. Only the last keyed order is
+kept, dropped before another is built, and concurrent callers build a
+cold one once.
 """
 
 from __future__ import annotations
@@ -188,9 +190,10 @@ _ORDER_BLOCK = 1 << 16
 _CHAIN_KEYS = 1 << 15
 
 # Orders of fewer steps are built on the calling thread alone. On a 2-vCPU
-# AMD EPYC VM, with concurrent.futures already imported (importing it takes
-# about 3.6 ms), two threads built a 512^2 order in 7.3 ms against 7.1 ms on
-# one, and a 1024^2 order in 22.7 ms against 28.9 ms (medians of 15).
+# Intel Xeon VM, in fresh processes and counting the import of
+# concurrent.futures, the two halves built a 512^2 order in 31.9 ms against
+# 25.4 ms for one range, and a 1024^2 order in 77.8 ms against 87.9 ms
+# (medians of 12 alternating pairs).
 _THREADED_MIN = 1 << 20
 
 # Which uint32 half of a native uint64 key s << 32 | i holds the step i; the
@@ -199,10 +202,10 @@ _STEP_HALF = 0 if sys.byteorder == "little" else 1
 
 
 def _order_workers(count: int) -> int:
-    """Threads that build an order of `count` steps: one per CPU the
-    process may run on, at most one per block, and one for a small order.
-    `_keyed_order` splits the order in two halves, one per thread, when
-    this is more than one."""
+    """CPUs that a build of `count` steps may use: one per CPU the process
+    may run on, at most one per block, and one for a small order. More than
+    one means that `_keyed_order` resolves the order's two halves on two
+    threads at once."""
     if count < _THREADED_MIN:
         return 1
     try:
@@ -288,7 +291,9 @@ def _chain_ends(
     return a, same
 
 
-def _resolve_range(seed: int, count: int, keys: np.ndarray, base: int = 0) -> np.ndarray:
+def _resolve_range(
+    seed: int, count: int, keys: np.ndarray, base: int = 0
+) -> np.ndarray:
     """The order of the steps [base, base + keys.size) of a `count`-step
     shuffle run alone from the identity, written over `keys`, and the
     values those steps leave in positions [0, base).
@@ -345,6 +350,8 @@ def _resolve_range(seed: int, count: int, keys: np.ndarray, base: int = 0) -> np
         np.bitwise_or(block << np.uint64(32), block >> np.uint64(32), out=block)
     keys.sort()
     keys &= np.uint64(0xFFFFFFFF)
+    # a view, not a copy: a copy's 4 B per step below base would add to the
+    # other half's arrays at the build's peak
     return a[:base]
 
 

@@ -42,6 +42,12 @@ class FakeRunner:
         return {"machine": {"commit": "unknown"}}, result
 
 
+def setups(pairs):
+    """The setup_s values of each pair of (report, result) runs."""
+    return [tuple(result["metrics"]["setup_s"]["value"] for _, result in pair)
+            for pair in pairs]
+
+
 def test_pairs_alternate_and_the_base_copies_swap_halfway():
     run = FakeRunner()
     runs = ab.pair_runs((BASE, BASE2, HEAD), "w", 4, 10, [], run=run)
@@ -52,11 +58,9 @@ def test_pairs_alternate_and_the_base_copies_swap_halfway():
         (BASE2, 12), (HEAD, 12), (BASE2, 12), (BASE, 12),
         (HEAD, 13), (BASE2, 13), (BASE, 13), (BASE2, 13),
     ]
-    # each pair is (BASE side, other side), whichever ran first
-    setups = [[(f[1]["metrics"]["setup_s"]["value"], s[1]["metrics"]["setup_s"]["value"])
-               for f, s in runs[side]] for side in ("comparison", "control")]
-    assert all(second / first == pytest.approx(0.8) for first, second in setups[0])
-    assert all(second == first for first, second in setups[1])
+    # each pair is (BASE, HEAD) or (BASE, BASE'), whichever ran first
+    assert all(h / b == pytest.approx(0.8) for b, h in setups(runs["comparison"]))
+    assert all(b2 == b for b, b2 in setups(runs["control"]))
 
 
 def test_ratios_wins_and_intervals():

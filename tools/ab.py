@@ -57,7 +57,8 @@ def _run(tree: Path, workload: str, seed: int, extra: list[str]) -> tuple[dict, 
             "--seed", str(seed), "--trace", "0", *extra]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     if proc.returncode != 0:
-        sys.exit(f"{tree.name} seed {seed} exited {proc.returncode}: {proc.stderr[-500:]}")
+        sys.exit(f"{tree.name} seed {seed} exited {proc.returncode}: "
+                 f"{proc.stderr[-500:]}")
     *_, report_line, result_line = proc.stdout.splitlines()
     return json.loads(report_line)["report"], json.loads(result_line)
 
@@ -106,8 +107,8 @@ def metrics(runs: dict, end_to_end: list[dict]) -> dict:
         name, better = metric["name"], metric["better"]
         sides = {
             side: summary(
-                [(first[1]["metrics"][name]["value"], second[1]["metrics"][name]["value"])
-                 for first, second in pairs],
+                [tuple(result["metrics"][name]["value"] for _, result in pair)
+                 for pair in pairs],
                 better,
             )
             for side, pairs in runs.items()
