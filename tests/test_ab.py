@@ -3,6 +3,7 @@ with a fake runner; then one real pair at the benchmark's smoke size."""
 
 import importlib.util
 import json
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ class FakeRunner:
                 "peak_rss_mb": {"value": rss, "unit": "MB"},
             },
         }
-        return {"machine": {"commit": "unknown"}}, result
+        return {"tree": tree, "machine": {"commit": "unknown"}}, result
 
 
 def setups(pairs):
@@ -48,17 +49,21 @@ def setups(pairs):
             for pair in pairs]
 
 
-def test_pairs_alternate_and_the_base_copies_swap_halfway():
+def test_pairs_take_turns_and_the_base_copies_swap_halfway():
     run = FakeRunner()
-    runs = ab.pair_runs((BASE, BASE2, HEAD), "w", 4, 10, [], run=run)
-    # per pair: the comparison, then the control, the first side alternating
-    assert run.calls == [
-        (BASE, 10), (HEAD, 10), (BASE, 10), (BASE2, 10),
-        (HEAD, 11), (BASE, 11), (BASE2, 11), (BASE, 11),
-        (BASE2, 12), (HEAD, 12), (BASE2, 12), (BASE, 12),
-        (HEAD, 13), (BASE2, 13), (BASE, 13), (BASE2, 13),
-    ]
-    # each pair is (BASE, HEAD) or (BASE, BASE'), whichever ran first
+    runs = ab.pair_runs((BASE, BASE2, HEAD), "w", 12, 10, [], run=run)
+    # one run per tree and pair, all three on the pair's seed
+    assert [seed for _, seed in run.calls] == [s for s in range(10, 22) for _ in "abc"]
+    orders = [[tree for tree, _ in run.calls[k : k + 3]] for k in range(0, 36, 3)]
+    # every tree takes every place in a pair's order equally often
+    for place in range(3):
+        assert Counter(order[place] for order in orders) == {BASE: 4, BASE2: 4, HEAD: 4}
+    # BASE' stands in for BASE from the second half on, and one BASE run
+    # serves both the comparison and the control
+    assert [f[0]["tree"] for f, _ in runs["comparison"]] == [BASE] * 6 + [BASE2] * 6
+    assert [s[0]["tree"] for _, s in runs["comparison"]] == [HEAD] * 12
+    assert [s[0]["tree"] for _, s in runs["control"]] == [BASE2] * 6 + [BASE] * 6
+    assert all(c[0] is k[0] for c, k in zip(runs["comparison"], runs["control"]))
     assert all(h / b == pytest.approx(0.8) for b, h in setups(runs["comparison"]))
     assert all(b2 == b for b, b2 in setups(runs["control"]))
 

@@ -5,10 +5,11 @@
 
 Exports the commits BASE and HEAD, and a second copy of BASE (BASE'), with
 `git archive` into a temporary directory. Pair k runs `bench/run.py --trace
-0` with seed S + k on BASE and HEAD (the comparison) and on BASE and BASE'
-(the control). Which side of a pair goes first alternates from pair to
-pair, and the two copies of BASE swap roles halfway, so that neither the
-run order nor a directory favours a side. Arguments after `--` go to every
+0` with seed S + k once in each of the three trees; BASE and HEAD make the
+comparison, and the same BASE run and BASE' the control. The three runs
+take the six orders in turn from pair to pair, and the two copies of BASE
+swap roles halfway, so that neither the run order, nor what ran just
+before, nor a directory favours a side. Arguments after `--` go to every
 run unchanged; `bench/run.py` needs `--seconds`.
 
 For each end-to-end metric in BENCHMARK.json, the output holds, for the
@@ -16,13 +17,16 @@ comparison and for the control: the raw (BASE, HEAD) or (BASE, BASE')
 values of each pair, the median of the HEAD / BASE or BASE' / BASE
 ratios, a bootstrap 95 % interval of that median, and the wins, the pairs
 in which HEAD or BASE' is better. `differs` is true only where the
-comparison's interval is clear of the control's. The tool adds evidence
-to a change; it does not replace the benchmark's own gate.
+comparison's interval is clear of the control's. With a handful of pairs
+the intervals are too narrow to mean much: two pairs of identical code
+can read as different, so use ten or more. The tool adds evidence to a
+change; it does not replace the benchmark's own gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -35,6 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RESAMPLES = 2000
 RESAMPLE_SEED = 0
+# the orders in which a pair runs BASE (0), BASE' (1) and HEAD (2)
+ORDERS = list(itertools.permutations(range(3)))
 
 
 def _export(rev: str, dest: Path) -> str:
@@ -66,16 +72,16 @@ def _run(tree: Path, workload: str, seed: int, extra: list[str]) -> tuple[dict, 
 def pair_runs(trees, workload, pairs, first_seed, extra, run=_run) -> dict:
     """{"comparison": [...], "control": [...]}: per pair, the (report,
     result) of BASE and of HEAD, and of BASE and of BASE', in that order
-    whichever ran first. `trees` are the BASE, BASE' and HEAD directories."""
+    whatever ran first. `trees` are the BASE, BASE' and HEAD directories."""
     base, base2, head = trees
     runs: dict[str, list] = {"comparison": [], "control": []}
     for k in range(pairs):
-        seed = first_seed + k
         a, a2 = (base, base2) if 2 * k < pairs else (base2, base)
-        for side, (x, y) in (("comparison", (a, head)), ("control", (a, a2))):
-            got = {tree: run(tree, workload, seed, extra)
-                   for tree in ((x, y) if k % 2 == 0 else (y, x))}
-            runs[side].append((got[x], got[y]))
+        roles = (a, a2, head)
+        got = {roles[i]: run(roles[i], workload, first_seed + k, extra)
+               for i in ORDERS[k % len(ORDERS)]}
+        runs["comparison"].append((got[a], got[head]))
+        runs["control"].append((got[a], got[a2]))
     return runs
 
 
