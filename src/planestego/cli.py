@@ -14,6 +14,14 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+# numpy's bundled OpenBLAS starts one worker thread per further CPU when
+# numpy loads, and they spin for a while before they sleep: CPU time taken
+# from the keyed order's second thread, though planestego calls no BLAS
+# routine. Set before numpy loads, which the lazy package import allows; a
+# value the caller set wins, and a program that imports the library keeps
+# its own setting.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .image_io import GrayImage, PgmError, read_pgm, write_pgm

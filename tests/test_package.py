@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import planestego
 from planestego import GrayImage, write_pgm
@@ -57,3 +58,37 @@ def test_import_loads_no_thread_pool():
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def fresh(code: str, **env: str) -> subprocess.CompletedProcess:
+    """`python -c code` in a new interpreter that finds this planestego,
+    with OPENBLAS_NUM_THREADS unset unless `env` sets it; stdout as text."""
+    src = Path(planestego.__file__).resolve().parent.parent
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**base, "PYTHONPATH": str(src), **env}, check=True,
+    )
+
+
+def test_import_loads_no_numpy_until_a_name_is_used():
+    # the names load lazily, so the CLI can set the environment first
+    proc = fresh(
+        "import sys, planestego; print('numpy' in sys.modules); "
+        "print(all(getattr(planestego, n) is not None for n in planestego.__all__)); "
+        "print('numpy' in sys.modules)"
+    )
+    assert proc.stdout.split() == ["False", "True", "True"]
+
+
+def test_cli_pins_openblas_to_one_thread_unless_set():
+    code = "import os, planestego.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh(code).stdout.strip() == "1"
+    assert fresh(code, OPENBLAS_NUM_THREADS="4").stdout.strip() == "4"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc")
+def test_cli_import_starts_no_thread():
+    # numpy's bundled OpenBLAS would start a worker per further CPU
+    code = "import os, planestego.cli; print(len(os.listdir('/proc/self/task')))"
+    assert fresh(code).stdout.strip() == "1"
