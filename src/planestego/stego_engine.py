@@ -24,10 +24,10 @@ by sorting the steps by swap target and resolving the resulting pointer
 chains a chunk at a time from the top down. When the process may use more
 than one CPU and the order is large, the top and the bottom half of the
 steps are resolved that way on two threads at once, then joined by one
-gather. A keyed order has at most 2^32 steps, so that a step and its swap
-target each fit one uint32 half of a key. Only the last keyed order is
-kept, dropped before another is built, and concurrent callers build a
-cold one once.
+gather that the two threads share. A keyed order has at most 2^32 steps,
+so that a step and its swap target each fit one uint32 half of a key.
+Only the last keyed order is kept, dropped before another is built, and
+concurrent callers build a cold one once.
 """
 
 from __future__ import annotations
@@ -190,10 +190,11 @@ _ORDER_BLOCK = 1 << 16
 _CHAIN_KEYS = 1 << 15
 
 # Orders of fewer steps are built on the calling thread alone. On a 2-vCPU
-# Intel Xeon VM, in fresh processes and counting the import of
-# concurrent.futures, the two halves built a 512^2 order in 31.9 ms against
-# 25.4 ms for one range, and a 1024^2 order in 77.8 ms against 87.9 ms
-# (medians of 12 alternating pairs).
+# Intel Xeon VM, in fresh processes with OpenBLAS pinned to one thread and
+# counting the import of concurrent.futures, medians of 12 alternating
+# pairs: a 512^2 order took 19.1 ms in one range against 19.4 ms in two
+# halves (two faster in 8 of 12, and in 4 of 12 in a second set), and a
+# 1024^2 order 60.3 against 44.7 ms (two faster in 12 of 12).
 _THREADED_MIN = 1 << 20
 
 # Which uint32 half of a native uint64 key s << 32 | i holds the step i; the
@@ -201,31 +202,31 @@ _THREADED_MIN = 1 << 20
 _STEP_HALF = 0 if sys.byteorder == "little" else 1
 
 
-def _order_workers(count: int) -> int:
-    """CPUs that a build of `count` steps may use: one per CPU the process
-    may run on, at most one per block, and one for a small order. More than
-    one means that `_keyed_order` resolves the order's two halves on two
-    threads at once."""
+def _two_halves(count: int) -> bool:
+    """Whether `_keyed_order` resolves an order of `count` steps in two
+    halves on two threads at once: only a large order, and only when the
+    process may run on more than one CPU."""
     if count < _THREADED_MIN:
-        return 1
+        return False
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, -(-count // _ORDER_BLOCK))
+    return cpus > 1
 
 
 def _keyed_order(count: int, key: bytes) -> np.ndarray:
     """The Fisher-Yates permutation the key seeds, without a per-step loop.
 
-    With one worker, `_resolve_range` resolves all the steps at once. With
-    more, the steps from `base`, count / 2 rounded down to a block, up to
-    count resolve on a second thread while the steps below base resolve on
-    this one, each in its own part of one key buffer. The top range runs
-    first in the shuffle, so the bottom range's order is read through the
-    values the top range leaves below base, a block at a time in place.
-    Either way the result is the same order. More than 2^32 steps raise
-    ValueError before anything is allocated.
+    For a small order, or on one CPU, `_resolve_range` resolves all the
+    steps at once. Otherwise the steps from `base`, count / 2 rounded down
+    to a block, up to count resolve on a second thread while the steps
+    below base resolve on this one, each in its own part of one key buffer.
+    The top range runs first in the shuffle, so the bottom range's order is
+    read through the values the top range leaves below base, a block at a
+    time in place; the two threads split that gather at a block boundary,
+    so that neither CPU idles. Either way the result is the same order.
+    More than 2^32 steps raise ValueError before anything is allocated.
     """
     # a step and its swap target each fill one uint32 half of a key
     if count > 2**32:
@@ -235,21 +236,30 @@ def _keyed_order(count: int, key: bytes) -> np.ndarray:
 
     seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
     keys = np.empty(count, dtype=np.uint64)
-    if _order_workers(count) == 1:
+    if not _two_halves(count):
         _resolve_range(seed, count, keys)
         return keys.view(np.int64)
     # imported here, so that small orders and `import planestego` skip it
     from concurrent.futures import ThreadPoolExecutor
 
     base = count // 2 // _ORDER_BLOCK * _ORDER_BLOCK
+    mid = base // 2 // _ORDER_BLOCK * _ORDER_BLOCK
     with ThreadPoolExecutor(1) as pool:
         top = pool.submit(_resolve_range, seed, count, keys[base:], base)
         _resolve_range(seed, count, keys[:base])
         left = top.result()
-    for lo in range(0, base, _ORDER_BLOCK):
+        upper = pool.submit(_read_through, left, keys[mid:base])
+        _read_through(left, keys[:mid])
+        upper.result()
+    return keys.view(np.int64)
+
+
+def _read_through(left: np.ndarray, keys: np.ndarray) -> None:
+    """Replace each key, a position below base, by the value `left` holds
+    there, a block at a time in place."""
+    for lo in range(0, keys.size, _ORDER_BLOCK):
         block = keys[lo : lo + _ORDER_BLOCK]
         block[:] = left.take(block.view(np.int64))
-    return keys.view(np.int64)
 
 
 def _chain_ends(

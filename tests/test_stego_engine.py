@@ -165,12 +165,12 @@ class TestKeyedOrderMatchesReference:
     def test_property(self, w, h, key):
         assert pixel_order(w, h, key).tolist() == fisher_yates_reference(w * h, key)
 
-    @pytest.mark.parametrize("workers", [None, 1, 2, 4], ids=["cpus", "1", "2", "4"])
-    def test_threaded_size_digest(self, workers, monkeypatch):
-        # 2^20 steps take the multi-block, multi-worker stages that the
-        # golden vectors' 64^2 images never reach
-        if workers is not None:
-            monkeypatch.setattr(stego_engine, "_order_workers", lambda count: workers)
+    @pytest.mark.parametrize("halves", [None, False, True], ids=["cpus", "off", "on"])
+    def test_threaded_size_digest(self, halves, monkeypatch):
+        # 2^20 steps take the multi-block stages and the two-thread build
+        # that the golden vectors' 64^2 images never reach
+        if halves is not None:
+            monkeypatch.setattr(stego_engine, "_two_halves", lambda count: halves)
         order = stego_engine._keyed_order(2**20, b"golden")
         assert hashlib.sha256(order.astype("<i8").tobytes()).hexdigest() == (
             "89c966d0acf6c4e8cb4df4d316e1b190fd3b3362083446a5426dbfa13122a7b7"
@@ -236,10 +236,14 @@ class TestKeyedOrderWorkers:
     """The order built in two halves on two threads against the sequential
     shuffle, and the second thread's lifetime."""
 
-    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_any_worker_count_matches_reference(self, workers, n, monkeypatch):
-        monkeypatch.setattr(stego_engine, "_order_workers", lambda count: workers)
+    # at 5 * BLOCK + 17 both threads read part of the bottom order through
+    # the top half's leftovers; below it the caller's part is empty
+    @pytest.mark.parametrize(
+        "n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17, 5 * BLOCK + 17]
+    )
+    @pytest.mark.parametrize("halves", [False, True], ids=["off", "on"])
+    def test_either_build_matches_reference(self, halves, n, monkeypatch):
+        monkeypatch.setattr(stego_engine, "_two_halves", lambda count: halves)
         before = threading.active_count()
         order = stego_engine._keyed_order(n, b"workers")
         assert threading.active_count() == before
@@ -247,25 +251,26 @@ class TestKeyedOrderWorkers:
 
     def test_large_order_uses_the_cpus_it_may(self, monkeypatch):
         n = stego_engine._THREADED_MIN
-        workers = stego_engine._order_workers(n)
+        halves = stego_engine._two_halves(n)
         if hasattr(os, "sched_getaffinity"):
-            assert workers == min(len(os.sched_getaffinity(0)), n // BLOCK)
+            assert halves == (len(os.sched_getaffinity(0)) > 1)
         before = threading.active_count()
         order = stego_engine._keyed_order(n, b"cpus")
         assert threading.active_count() == before
-        monkeypatch.setattr(stego_engine, "_order_workers", lambda count: 1)
+        monkeypatch.setattr(stego_engine, "_two_halves", lambda count: not halves)
         assert np.array_equal(order, stego_engine._keyed_order(n, b"cpus"))
 
-    @pytest.mark.parametrize("cpus, want", [(None, 1), (1, 1), (3, 3), (64, 16)])
-    def test_workers_without_an_affinity_mask(self, cpus, want, monkeypatch):
-        # as on macOS and Windows: the CPU count, at most one per block
+    @pytest.mark.parametrize(
+        "cpus, want", [(None, False), (1, False), (2, True), (64, True)]
+    )
+    def test_two_halves_without_an_affinity_mask(self, cpus, want, monkeypatch):
+        # as on macOS and Windows: the CPU count decides
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         n = stego_engine._THREADED_MIN
-        assert n // BLOCK == 16
-        assert stego_engine._order_workers(n) == want
+        assert stego_engine._two_halves(n) is want
         for smaller in (1, BLOCK, n - 1):
-            assert stego_engine._order_workers(smaller) == 1
+            assert stego_engine._two_halves(smaller) is False
 
     def test_small_order_starts_no_thread(self, monkeypatch):
         started = []
@@ -276,16 +281,16 @@ class TestKeyedOrderWorkers:
         stego_engine._keyed_order(512 * 512, b"small")
         assert started == []
 
-    def test_many_workers_start_one_thread(self, monkeypatch):
-        # the two halves take one thread beside the caller's, whatever the
-        # CPU count
-        monkeypatch.setattr(stego_engine, "_order_workers", lambda count: 32)
+    def test_two_halves_start_one_thread(self, monkeypatch):
+        # the two halves and the gather that joins them take one thread
+        # beside the caller's, whatever the CPU count
+        monkeypatch.setattr(stego_engine, "_two_halves", lambda count: True)
         started = []
         start = threading.Thread.start
         monkeypatch.setattr(
             threading.Thread, "start", lambda t: started.append(t) or start(t)
         )
-        n = 3 * BLOCK + 17
+        n = 5 * BLOCK + 17
         assert stego_engine._keyed_order(n, b"workers").tolist() == reference_order(n)
         assert len(started) <= 1
 
@@ -293,7 +298,7 @@ class TestKeyedOrderWorkers:
     def test_a_failing_half_reraises_and_joins(
         self, half, cold_order_cache, monkeypatch
     ):
-        monkeypatch.setattr(stego_engine, "_order_workers", lambda count: 2)
+        monkeypatch.setattr(stego_engine, "_two_halves", lambda count: True)
         resolve = stego_engine._resolve_range
 
         def fail_one_half(seed, count, keys, base=0):
@@ -518,10 +523,9 @@ class TestKeyedMemory:
     """Working memory of the keyed and row-major paths at 1024^2, in B/px.
 
     Each bound sits above what the code allocates: the cold order holds
-    13.8 B/px in one range (bound 15) and 16.3 to 16.6 in two halves on two
-    threads, which any forced worker count above one builds, and so does a
-    switch of key or pixel count, which drops the cached order first
-    (bound 18), a warm full-capacity binary round trip, keyed or
+    13.8 B/px in one range (bound 15) and 16.3 to 16.7 in two halves on two
+    threads, and so does a switch of key or pixel count, which drops the
+    cached order first (bound 18), a warm full-capacity binary round trip, keyed or
     not, 4.1 B/px in embed (bound 5) and 2.3 in extract (bound 4), and
     capacity 0.19 in Fibonacci plane 11, tested by value range, and 0.50
     in prime plane 1, which looks pixel pairs up (bound 0.75). Full-size
@@ -547,13 +551,12 @@ class TestKeyedMemory:
 
     def test_cold_order_one_thread(self, monkeypatch):
         # the keys become the order in place: no second full-size array
-        monkeypatch.setattr(stego_engine, "_order_workers", lambda count: 1)
+        monkeypatch.setattr(stego_engine, "_two_halves", lambda count: False)
         n = MEMORY_SIDE * MEMORY_SIDE
         assert traced_peak(stego_engine._keyed_order, n, b"memory") <= 15 * n
 
-    @pytest.mark.parametrize("workers", [4, 8, 32])
-    def test_cold_order_forced_workers(self, workers, monkeypatch):
-        monkeypatch.setattr(stego_engine, "_order_workers", lambda count: workers)
+    def test_cold_order_two_halves(self, monkeypatch):
+        monkeypatch.setattr(stego_engine, "_two_halves", lambda count: True)
         # imported first, so that the peak counts the order, not the module
         import concurrent.futures  # noqa: F401
 
