@@ -63,7 +63,7 @@ def _run(tree: Path, workload: str, seed: int, extra: list[str]) -> tuple[dict, 
             "--seed", str(seed), "--trace", "0", *extra]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     if proc.returncode != 0:
-        sys.exit(f"{tree.name} seed {seed} exited {proc.returncode}: "
+        sys.exit(f"{workload} in {tree.name} seed {seed} exited {proc.returncode}: "
                  f"{proc.stderr[-500:]}")
     *_, report_line, result_line = proc.stdout.splitlines()
     return json.loads(report_line)["report"], json.loads(result_line)

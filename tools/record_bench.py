@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 import os
 import statistics
-import subprocess
 import sys
 from pathlib import Path
+
+import ab
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (3, 4, 5, 6, 7)
@@ -30,17 +31,6 @@ NOTES = [
     "CLI ops compile planestego's sources on every call when the environment sets"
     " PYTHONDONTWRITEBYTECODE; see python_dont_write_bytecode.",
 ]
-
-
-def _run(workload: str, seed: int, extra: list[str]) -> tuple[dict, dict]:
-    """(report, result) of one untraced run."""
-    argv = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--trace", "0", *extra]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
-    if proc.returncode != 0:
-        sys.exit(f"{workload} seed {seed} exited {proc.returncode}: {proc.stderr[-500:]}")
-    *_, report_line, result_line = proc.stdout.splitlines()
-    return json.loads(report_line)["report"], json.loads(result_line)
 
 
 def _summary(values: list, unit: str) -> dict:
@@ -75,7 +65,7 @@ def main(argv: list[str]) -> int:
     runs: dict[str, list[tuple[dict, dict]]] = {name: [] for name in names}
     for k, seed in enumerate(SEEDS):
         for name in names[k % len(names):] + names[: k % len(names)]:
-            runs[name].append(_run(name, seed, extra))
+            runs[name].append(ab._run(ROOT, name, seed, extra))
     machine = runs[names[0]][0][0]["machine"]
     workloads = {}
     for name, pairs in runs.items():
