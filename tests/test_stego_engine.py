@@ -165,12 +165,13 @@ class TestKeyedOrderMatchesReference:
     def test_property(self, w, h, key):
         assert pixel_order(w, h, key).tolist() == fisher_yates_reference(w * h, key)
 
-    @pytest.mark.parametrize("halves", [None, False, True], ids=["cpus", "off", "on"])
-    def test_threaded_size_digest(self, halves, monkeypatch):
-        # 2^20 steps take the multi-block stages and the two-thread build
-        # that the golden vectors' 64^2 images never reach
-        if halves is not None:
-            monkeypatch.setattr(stego_engine, "_two_halves", lambda count: halves)
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 4], ids=["cpus", "1", "2", "4"])
+    def test_threaded_size_digest(self, cpus, monkeypatch):
+        # 2^20 steps take the multi-block stages and, on more than one CPU,
+        # the two-thread build that the golden vectors' 64^2 images never reach
+        if cpus is not None:
+            allow_cpus(monkeypatch, cpus)
+            assert stego_engine._two_halves(2**20) is (cpus > 1)
         order = stego_engine._keyed_order(2**20, b"golden")
         assert hashlib.sha256(order.astype("<i8").tobytes()).hexdigest() == (
             "89c966d0acf6c4e8cb4df4d316e1b190fd3b3362083446a5426dbfa13122a7b7"
@@ -184,6 +185,13 @@ class TestKeyedOrderMatchesReference:
 
 
 BLOCK = stego_engine._ORDER_BLOCK
+
+
+def allow_cpus(monkeypatch, cpus):
+    """Let `_two_halves` see `cpus` CPUs in the process's affinity mask."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
 
 
 @lru_cache(maxsize=None)
@@ -236,14 +244,18 @@ class TestKeyedOrderWorkers:
     """The order built in two halves on two threads against the sequential
     shuffle, and the second thread's lifetime."""
 
-    # at 5 * BLOCK + 17 both threads read part of the bottom order through
-    # the top half's leftovers; below it the caller's part is empty
+    # one CPU builds the order in one range, more build it in two halves,
+    # here at any size; at 5 * BLOCK + 17 both threads read part of the
+    # bottom order through the top half's leftovers, below it the caller's
+    # part is empty
     @pytest.mark.parametrize(
         "n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17, 5 * BLOCK + 17]
     )
-    @pytest.mark.parametrize("halves", [False, True], ids=["off", "on"])
-    def test_either_build_matches_reference(self, halves, n, monkeypatch):
-        monkeypatch.setattr(stego_engine, "_two_halves", lambda count: halves)
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_any_worker_count_matches_reference(self, cpus, n, monkeypatch):
+        monkeypatch.setattr(stego_engine, "_THREADED_MIN", 1)
+        allow_cpus(monkeypatch, cpus)
+        assert stego_engine._two_halves(n) is (cpus > 1)
         before = threading.active_count()
         order = stego_engine._keyed_order(n, b"workers")
         assert threading.active_count() == before
@@ -261,7 +273,8 @@ class TestKeyedOrderWorkers:
         assert np.array_equal(order, stego_engine._keyed_order(n, b"cpus"))
 
     @pytest.mark.parametrize(
-        "cpus, want", [(None, False), (1, False), (2, True), (64, True)]
+        "cpus, want",
+        [(None, False), (1, False), (2, True), (3, True), (64, True)],
     )
     def test_two_halves_without_an_affinity_mask(self, cpus, want, monkeypatch):
         # as on macOS and Windows: the CPU count decides
@@ -281,10 +294,11 @@ class TestKeyedOrderWorkers:
         stego_engine._keyed_order(512 * 512, b"small")
         assert started == []
 
-    def test_two_halves_start_one_thread(self, monkeypatch):
+    def test_many_workers_start_one_thread(self, monkeypatch):
         # the two halves and the gather that joins them take one thread
         # beside the caller's, whatever the CPU count
-        monkeypatch.setattr(stego_engine, "_two_halves", lambda count: True)
+        monkeypatch.setattr(stego_engine, "_THREADED_MIN", 1)
+        allow_cpus(monkeypatch, 32)
         started = []
         start = threading.Thread.start
         monkeypatch.setattr(
@@ -555,8 +569,11 @@ class TestKeyedMemory:
         n = MEMORY_SIDE * MEMORY_SIDE
         assert traced_peak(stego_engine._keyed_order, n, b"memory") <= 15 * n
 
-    def test_cold_order_two_halves(self, monkeypatch):
-        monkeypatch.setattr(stego_engine, "_two_halves", lambda count: True)
+    @pytest.mark.parametrize("workers", [4, 8, 32])
+    def test_cold_order_forced_workers(self, workers, monkeypatch):
+        # two halves, and no more memory however many CPUs the process has
+        allow_cpus(monkeypatch, workers)
+        assert stego_engine._two_halves(MEMORY_SIDE * MEMORY_SIDE)
         # imported first, so that the peak counts the order, not the module
         import concurrent.futures  # noqa: F401
 
