@@ -146,6 +146,12 @@ class StegoParams:
 
 @dataclass(frozen=True)
 class EmbedReport:
+    """What `embed` did: `bits_embedded` frame bits, header included, in
+    the first `pixels_visited` pixels of the traversal order, of which
+    `pixels_skipped` carry no bit of the plane, so that pixels_skipped ==
+    pixels_visited - bits_embedded; `psnr_db` of the stego image against
+    the cover, inf when no pixel changed."""
+
     bits_embedded: int
     pixels_visited: int
     pixels_skipped: int
@@ -194,7 +200,9 @@ _CHAIN_KEYS = 1 << 15
 # counting the import of concurrent.futures, medians of 12 alternating
 # pairs: a 512^2 order took 19.1 ms in one range against 19.4 ms in two
 # halves (two faster in 8 of 12, and in 4 of 12 in a second set), and a
-# 1024^2 order 60.3 against 44.7 ms (two faster in 12 of 12).
+# 1024^2 order 60.3 against 44.7 ms (two faster in 12 of 12). Between the
+# two, 16 pairs read 725^2 42.4 against 37.7 ms (15 of 16) but 1000^2 85.9
+# against 67.6 ms in only 11 of 16, too few to halve the threshold.
 _THREADED_MIN = 1 << 20
 
 # Which uint32 half of a native uint64 key s << 32 | i holds the step i; the
@@ -263,14 +271,14 @@ def _read_through(left: np.ndarray, keys: np.ndarray) -> None:
 
 
 def _chain_ends(
-    keys: np.ndarray, step: np.ndarray, target: np.ndarray, end: int
+    step: np.ndarray, target: np.ndarray, end: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """End of the pointer chain from each position in [0, end), and `same`:
     same[k] marks that sorted keys k - 1 and k share a group.
 
-    `keys` are the sorted keys, and `step` and `target` their halves. Each
-    group of the sorted steps points from position target[k] up to step[k],
-    k the group's first key; any other position, or one that points to
+    `step` and `target` are the halves of the sorted keys. Each group of
+    the sorted steps points from position target[k] up to step[k], k the
+    group's first key; any other position, or one that points to
     itself, is a chain end. Chains are followed _CHAIN_KEYS sorted keys at
     a time from the top down. A key's step is above its target, so a group
     whose step a pointer of the chunk reaches has its first key in this
@@ -282,8 +290,8 @@ def _chain_ends(
     a = np.arange(end, dtype=np.uint32)
     # the first key heads a group: a real one when the range starts above
     # step 0, and otherwise step 0's self-swap, whose pointer stays put
-    same = np.zeros(keys.size, dtype=bool)
-    for hi in range(keys.size, 0, -_CHAIN_KEYS):
+    same = np.zeros(step.size, dtype=bool)
+    for hi in range(step.size, 0, -_CHAIN_KEYS):
         lo = max(hi - _CHAIN_KEYS, 0)
         first = max(lo, 1)
         np.equal(target[first:hi], target[first - 1 : hi - 1], out=same[first:hi])
@@ -342,7 +350,7 @@ def _resolve_range(
     keys.sort()
     halves = keys.view(np.uint32)
     step, target = halves[_STEP_HALF::2], halves[1 - _STEP_HALF :: 2]
-    a, same = _chain_ends(keys, step, target, end)
+    a, same = _chain_ends(step, target, end)
 
     # Step i keeps s[i], or A of the next step of its group, written over
     # s[i] in its key: the keys are not read as sorted after this.

@@ -43,6 +43,14 @@ def test_planes_table(capsys):
     assert ["prime", "15"] in lines
     assert ["natural", "23"] in lines
     assert lines[0] == ["scheme", "planes"]
+    # the names padded to the longest, the counts right-aligned under "planes"
+    assert out == (
+        "scheme     planes\n"
+        "binary          8\n"
+        "fibonacci      12\n"
+        "prime          15\n"
+        "natural        23\n"
+    )
 
 
 @pytest.mark.parametrize("scheme", ["binary", "fibonacci", "prime", "natural"])
@@ -130,8 +138,10 @@ def test_raw_byte_key_capacity_and_analyze(cover_path):
     assert done.stdout.decode().strip() == f"capacity_bits={capacity(cover, params)}"
     done = run_process(b"analyze", b"--key", b"\xff", b"--in", bytes(cover_path))
     assert done.returncode == 0, done.stderr
+    rows = done.stdout.decode().splitlines()
+    assert len(rows) == 1 + 8 + 12 + 15 + 23
     # the binary plane-0 row embeds the default payload under that key
-    _, plane, cap, bits, db = done.stdout.decode().splitlines()[1].split()
+    _, plane, cap, bits, db = rows[1].split()
     payload = random.Random(DEFAULT_ANALYZE_SEED).randbytes(DEFAULT_ANALYZE_PAYLOAD_BYTES)
     _, report = embed(cover, payload[: (int(cap) - 32) // 8], params)
     assert (plane, int(bits), db) == ("0", report.bits_embedded, f"{report.psnr_db:.4f}")
@@ -238,6 +248,54 @@ def test_payload_too_large_to_frame_exit3(tmp_path, cover_path, capsys, monkeypa
               "--payload", str(big), "--out", str(tmp_path / "s.pgm")])
     assert rc == 3
     assert str(32 + 8 * 64 * 48) in capsys.readouterr().err
+
+
+ZERO_4X4 = write_pgm(GrayImage(4, 4, bytes(16)))
+# binary plane 0 of 8x4 pixels holds the 32-bit header and nothing more
+ZERO_8X4 = write_pgm(GrayImage(8, 4, bytes(32)))
+ONE_8X4 = write_pgm(GrayImage(8, 4, bytes(31) + b"\x01"))
+
+
+@pytest.mark.parametrize(
+    "pgm, command, code, err",
+    [
+        (b"P5\n1 1\n65535\n\0\0", "capacity", 2,
+         "maxval 65535 unsupported (only 255)"),
+        (ZERO_4X4, "extract", 3,
+         "the frame header needs 32 bits but only 16 embeddable bits are available"),
+        (ONE_8X4, "extract", 3,
+         "payload of 1 bytes needs 40 bits but only 32 embeddable bits are available"),
+        (ZERO_8X4, "extract", 0, None),
+        (ZERO_8X4, "embed", 0, None),
+    ],
+    ids=["16-bit", "below-header", "header-declares-1", "header-only", "header-only-embed"],
+)
+def test_exit_code_and_error_line(tmp_path, capsys, pgm, command, code, err):
+    # the whole stderr line and the exit code, and what the output file holds:
+    # nothing after an error, the empty payload of a header that declares 0
+    # bytes, and the unchanged cover after an empty payload's embed
+    image = tmp_path / "image.pgm"
+    image.write_bytes(pgm)
+    out = tmp_path / "out"
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    args = {
+        "capacity": [],
+        "extract": ["--out", str(out)],
+        "embed": ["--payload", str(empty), "--out", str(out)],
+    }[command]
+    assert run([command, "--scheme", "binary", "--in", str(image), *args]) == code
+    captured = capsys.readouterr()
+    if err is None:
+        assert captured.err == ""
+        assert (captured.out, out.read_bytes()) == {
+            "embed": ("bits_embedded=32\npixels_visited=32\npixels_skipped=0\n"
+                      "psnr_db=inf\n", pgm),
+            "extract": ("bytes_extracted=0\n", b""),
+        }[command]
+    else:
+        assert (captured.out, captured.err) == ("", f"error: {err}\n")
+        assert not out.exists()
 
 
 @pytest.fixture

@@ -402,9 +402,10 @@ class TestCapacity:
     def test_key_does_not_change_capacity(self):
         cover = random_cover(32, 32)
         for kind in ALL_KINDS:
-            assert capacity(cover, params_for(kind, plane=1)) == capacity(
-                cover, params_for(kind, plane=1, key=b"s")
-            )
+            for plane in (1, table_for(WeightScheme(kind)).n - 1):
+                assert capacity(cover, params_for(kind, plane=plane)) == capacity(
+                    cover, params_for(kind, plane=plane, key=b"s")
+                )
 
 
 @pytest.fixture
